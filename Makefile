@@ -28,7 +28,7 @@ bench:
 
 # Machine-readable alias-engine numbers: analysis construction time,
 # may-alias query throughput, and Table 5 wall time under both the
-# reference and the partition-based counting engines.  Every run also
+# reference and the class-matrix counting engines.  Every run also
 # appends a ledger record to BENCH_history.jsonl so successive runs
 # stay comparable (see `repro bench compare` / DESIGN.md §6f).
 bench-quick:
@@ -59,8 +59,8 @@ fuzz:
 	$(PYTHON) -m pytest tests/integration/test_fuzz_rle.py -q
 
 # Fixed-seed soundness fuzz over generated programs: every analysis
-# level is cross-checked against the refinement hierarchy, the fast
-# engine, and a traced dynamic run.  Deterministic, so a failure here
+# level is cross-checked against the refinement hierarchy, the
+# differential (fast == reference) count, and a traced dynamic run.  Deterministic, so a failure here
 # is reproducible by seed; crash bundles land under the --out dir.
 fuzz-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --seed 0 --count 200 \
@@ -74,15 +74,16 @@ corpus-gen:
 	PYTHONPATH=src $(PYTHON) -m repro -q corpus verify $(CORPUS_SMOKE_DIR)
 
 # Corpus pipeline smoke: generate + verify the sharded corpus, sweep it
-# with the differential engine (bulk == fast == reference on every
-# program) across 2 worker processes, then time the fast engine against
-# the bulk kernels.  No history records: the committed ledger only
-# carries deliberate runs.
+# with the differential engine (fast == reference on every program)
+# across 2 worker processes, then time one-shot counts against re-counts
+# of reused class matrices and require reuse to pay at least 2x (reuse
+# is why the matrix is a picklable object).  No history records: the
+# committed ledger only carries deliberate runs.
 corpus-smoke: corpus-gen
 	PYTHONPATH=src $(PYTHON) -m repro -q corpus run $(CORPUS_SMOKE_DIR) \
 		--jobs 2 --engine differential --no-history
 	PYTHONPATH=src $(PYTHON) -m repro -q corpus bench $(CORPUS_SMOKE_DIR) \
-		--repeats 2 --no-history
+		--repeats 2 --min-speedup 2 --no-history
 
 # Analysis-daemon smoke: boot the serve daemon with both transports
 # (JSONL-on-stdio subprocess + localhost HTTP), fire the same batched

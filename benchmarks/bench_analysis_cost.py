@@ -61,5 +61,5 @@ def test_analysis_construction(benchmark, suite, emit):
     }
     validate_report(report)
     emit("analysis_cost_json", json.dumps(report, indent=2, sort_keys=True))
-    # The partition-based engine must clearly beat the per-pair loop.
+    # The class-matrix engine must clearly beat the per-pair loop.
     assert table5["speedup"] > 1.0

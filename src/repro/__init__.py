@@ -102,10 +102,10 @@ class Program:
                     engine: str = "fast"):
         """Table 5's static metric for one analysis level.
 
-        ``engine`` is ``'fast'`` (partition-based counter, the default),
-        ``'reference'`` (the O(e²) per-pair loop), ``'bulk'`` (bitset-matrix
-        kernels, :mod:`repro.analysis.bulk`), or ``'differential'`` (runs
-        all engines and asserts agreement).
+        ``engine`` is ``'fast'`` (the class matrix of
+        :mod:`repro.analysis.bulk`, the default), ``'reference'`` (the
+        O(e²) per-pair loop), or ``'differential'`` (runs both and
+        asserts agreement).
         """
         program = self.pipeline.base().program
         counter = AliasPairCounter(

@@ -16,10 +16,11 @@
 * :mod:`repro.analysis.callgraph`, :mod:`repro.analysis.modref` — the
   interprocedural mod-ref summaries RLE consults at call sites;
 * :mod:`repro.analysis.alias_pairs` — the static alias-pair metric of
-  Table 5;
-* :mod:`repro.analysis.bulk` — the bitset-matrix bulk engine behind
-  ``--engine bulk``: picklable class-adjacency matrices with
-  AND/popcount (or numpy) counting kernels;
+  Table 5, counted by the ``reference`` oracle loop or the ``fast``
+  class matrix;
+* :mod:`repro.analysis.bulk` — the class matrix behind ``--engine
+  fast``: picklable class-adjacency bitsets with AND/popcount counting
+  kernels;
 * :mod:`repro.analysis.openworld` — factory for the incomplete-program
   variants of all three analyses (Section 4, Figure 12).
 """
@@ -38,7 +39,7 @@ from repro.analysis.smtyperefs import (
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.modref import ModRefAnalysis, ModRefSummary
 from repro.analysis.alias_pairs import AliasPairCounter, AliasPairReport, collect_heap_references
-from repro.analysis.bulk import BulkAliasMatrix, BulkCounts, build_matrix, default_backend
+from repro.analysis.bulk import BulkAliasMatrix, BulkCounts, build_matrix
 from repro.analysis.openworld import make_analysis, ANALYSIS_NAMES, EXTRA_ANALYSIS_NAMES
 from repro.analysis.steensgaard import SteensgaardTypesOracle, SteensgaardFieldTypeRefsAnalysis
 from repro.analysis.trivial import AlwaysAliasAnalysis, NeverAliasAnalysis
@@ -65,7 +66,6 @@ __all__ = [
     "BulkAliasMatrix",
     "BulkCounts",
     "build_matrix",
-    "default_backend",
     "make_analysis",
     "ANALYSIS_NAMES",
     "EXTRA_ANALYSIS_NAMES",

@@ -42,18 +42,6 @@ class TypeOracle:
     def types_compatible(self, p: AccessPath, q: AccessPath) -> bool:
         raise NotImplementedError
 
-    def type_mask(self, t) -> int:
-        """The packed bitvector whose intersection decides compatibility.
-
-        Every concrete oracle's ``types_compatible`` reduces to
-        ``type_mask(t1) & type_mask(t2) != 0`` (masks always contain the
-        type's own bit, so the ``t1 is t2`` shortcut agrees).  The bulk
-        kernels (:mod:`repro.analysis.bulk`) bake these masks into their
-        query-equivalence signatures so all-pairs sweeps never call back
-        into per-pair Python code.
-        """
-        raise NotImplementedError
-
 
 class AliasAnalysis:
     """May-alias over access paths, with memoisation.

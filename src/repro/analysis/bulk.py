@@ -1,11 +1,10 @@
-"""Bulk bitset-matrix alias kernels — the all-pairs ``bulk`` engine.
+"""Bitset-matrix alias kernels — the class matrix behind ``engine='fast'``.
 
-The reference engine asks one ``may_alias`` query per reference pair and
-the fast engine asks one per *query-equivalence class* pair.  Both still
-run per-pair Python on every count.  This module lowers each analysis's
-decision procedure all the way to **packed bitvectors** so a whole
-Table 5 count becomes a handful of AND/popcount kernels over dense
-integer matrices:
+The reference engine asks one ``may_alias`` query per reference pair.
+The fast engine partitions the distinct reference paths into
+*query-equivalence classes*, asks at most one query per class pair, and
+lowers the answers to **packed bitvectors**, so a whole Table 5 count
+becomes a handful of AND/popcount kernels over dense integer matrices:
 
 * every query-equivalence class gets one row of a class-adjacency
   matrix, stored as a Python big int (bit *j* of ``class_rows[i]`` says
@@ -14,92 +13,46 @@ integer matrices:
 * every interned access path maps to its class, so
   :meth:`BulkAliasMatrix.path_row` expands one packed bitvector row per
   path uid over the path-index space on demand;
-* counting local/global pairs reduces to popcounts and small
-  matrix products — either pure-Python big-int kernels (stdlib-only,
-  via :mod:`repro.util.bits`) or a numpy backend auto-detected at
-  import time (``REPRO_BULK_BACKEND`` overrides the choice).
+* counting local/global pairs reduces to popcounts and small sums over
+  per-class tallies, in stdlib big-int arithmetic
+  (:mod:`repro.util.bits`).
 
-The lowering relies on one fact proved per oracle: every
-``types_compatible`` is ``type_mask(t1) & type_mask(t2) != 0``, with the
-mask never zero (it always contains the type's own bit, so the ``t1 is
-t2`` shortcut coincides with self-intersection).  Three partition
-schemes cover the analyses:
+Three partition schemes cover the analyses:
 
 * ``typedecl`` — TypeDecl ignores structure entirely, so the class key
-  *is* the type mask and adjacency is mask intersection.
+  is the oracle's subtype mask and adjacency is mask intersection.
 * ``field`` — FieldTypeDecl (hence SMFieldTypeRefs and the Steensgaard
-  baseline) dispatches on Table 2; its decision signatures bake the
-  masks in (:class:`_FieldSigTable`) and adjacency is a memoised
-  signature-level replay of the seven cases.  This partition is coarser
-  than the fast engine's ``id(type)`` signatures — types sharing a mask
-  share a class — but exact: the decision is a pure function of the
-  signature.
+  baseline) dispatches on Table 2.  A path's signature records exactly
+  the facts the seven cases consult — constructor kind, field name, the
+  AddressTaken bit, the leaf type identity and, recursively, the base's
+  signature — so two same-signature paths answer every query
+  identically, and a short induction over Table 2 shows they always
+  alias each other (the base case is the oracle's reflexivity,
+  ``Subtypes(T) ∩ Subtypes(T) ≠ ∅``).  One representative
+  ``may_alias_canonical`` query decides each class pair; the zero cases
+  (2 with differing fields, 5) skip even that.
 * ``generic`` — anything else (the trivial analyses, third-party
-  subclasses without ``type_mask``) degrades to one class per distinct
-  path with representative ``may_alias`` queries.
+  analyses) degrades to one class per distinct path with
+  representative ``may_alias`` queries.
 
 Matrices carry no AST/IR/type references — only names, ints and dicts —
 so they pickle cheaply and cross process boundaries (the corpus
 pipeline ships them between shard workers and the parent).  Transient
-caches (numpy arrays, path-row expansions, the process-local uid→index
-map) are dropped on pickling and rebuilt lazily.
+caches (path-row expansions, the process-local uid→index map) are
+dropped on pickling; the row cache is rebuilt lazily.
 """
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.alias_base import AliasAnalysis, TypeOracle
+from repro.analysis.alias_base import AliasAnalysis
 from repro.analysis.fieldtypedecl import FieldTypeDeclAnalysis
 from repro.analysis.typedecl import TypeDeclAnalysis
 from repro.ir.access_path import AccessPath, Deref, Qualify, Subscript, strip_index
-from repro.lang.types import ObjectType
 from repro.obs import core as obs
 from repro.obs import metrics
 from repro.qa import guards
 from repro.util.bits import iter_bits, popcount
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-#: Whether the numpy kernels are available in this process.
-HAVE_NUMPY = _np is not None
-
-#: Valid values for the ``backend`` argument of ``count_pairs``.
-BACKENDS = ("python", "numpy")
-
-#: Environment override for :func:`default_backend`.
-BACKEND_ENV = "REPRO_BULK_BACKEND"
-
-#: Below this many classes the big-int kernel beats numpy: each numpy
-#: count costs a handful of array-dispatch round trips, a fixed price
-#: that only pays for itself once the O(k^2) work is large enough.
-NUMPY_MIN_CLASSES = 96
-
-
-def default_backend(n_classes: Optional[int] = None) -> str:
-    """Kernel backend used when callers do not choose one.
-
-    ``REPRO_BULK_BACKEND`` forces a backend (and surfaces an error if it
-    names an unavailable one).  Otherwise numpy wins when importable —
-    except for matrices below :data:`NUMPY_MIN_CLASSES` classes (when
-    the caller passes the size), where per-call dispatch overhead makes
-    the stdlib big-int kernels faster.
-    """
-    forced = os.environ.get(BACKEND_ENV)
-    if forced:
-        if forced not in BACKENDS:
-            raise ValueError(
-                "{}={!r}: expected one of {}".format(BACKEND_ENV, forced, BACKENDS)
-            )
-        return forced
-    if not HAVE_NUMPY:
-        return "python"
-    if n_classes is not None and n_classes < NUMPY_MIN_CLASSES:
-        return "python"
-    return "numpy"
 
 
 @dataclass(frozen=True)
@@ -114,105 +67,52 @@ class BulkCounts:
         return (self.references, self.local_pairs, self.global_pairs)
 
 
-def _oracle_has_mask(oracle) -> bool:
-    """True when the oracle implements ``type_mask`` (not the base stub)."""
-    return (
-        isinstance(oracle, TypeOracle)
-        and type(oracle).type_mask is not TypeOracle.type_mask
-    )
+def _signature_fn(analysis: FieldTypeDeclAnalysis) -> Callable[[AccessPath], tuple]:
+    """Memoised Table 2 query-equivalence signature of a canonical path.
 
-
-class _FieldSigTable:
-    """Interned Table 2 decision signatures with mask leaves.
-
-    Mirrors the fast engine's query-equivalence signatures but replaces
-    every ``id(type)`` leaf with the oracle's ``type_mask``, which is the
-    only fact the leaf cases consult.  Signature tuples nest by interned
-    index, so equality of indices is equality of whole decision trees:
-
-    * ``('r', tmask)`` — roots, case 7;
-    * ``('d', tmask)`` — dereferences, cases 3/4/7;
-    * ``('q', field, taken, tmask, base_is_obj, base_tmask, base_idx)``
-      — qualifies, cases 2/3/5;
-    * ``('s', taken, tmask, base_idx)`` — subscripts, cases 4/5/6.
-
-    :meth:`decide` replays Table 2 on two signatures; memoised on the
-    unordered index pair.  ``decide(i, i)`` is ``True`` by the same
-    induction the fast engine uses (equal signatures always alias; the
-    base case is the never-zero mask's self-intersection).
+    * ``('r', id(type))`` — roots, case 7, a pure type function;
+    * ``('d', id(type))`` — dereferences, cases 3/4/7;
+    * ``('q', field, taken, id(type), base_sig)`` — qualifies, 2/3/5;
+    * ``('s', taken, id(type), base_sig)`` — subscripts, cases 4/5/6.
     """
+    address_taken = analysis.address_taken
+    sigs: Dict[int, tuple] = {}
 
-    def __init__(self, analysis: FieldTypeDeclAnalysis):
-        self.oracle = analysis.oracle
-        self.address_taken = analysis.address_taken
-        self.sigs: List[tuple] = []
-        self.tmasks: List[int] = []
-        self._index: Dict[tuple, int] = {}
-        self._by_uid: Dict[int, int] = {}
-        self._memo: Dict[Tuple[int, int], bool] = {}
+    def sig(ap: AccessPath) -> tuple:
+        s = sigs.get(ap.uid)
+        if s is None:
+            if isinstance(ap, Qualify):
+                taken = address_taken.qualify_taken(ap.field, ap.base.type, ap.type)
+                s = ("q", ap.field, taken, id(ap.type), sig(ap.base))
+            elif isinstance(ap, Subscript):
+                taken = address_taken.subscript_taken(ap.base.type, ap.type)
+                s = ("s", taken, id(ap.type), sig(ap.base))
+            elif isinstance(ap, Deref):
+                s = ("d", id(ap.type))
+            else:  # VarRoot / FreshRoot
+                s = ("r", id(ap.type))
+            sigs[ap.uid] = s
+        return s
 
-    def index_of(self, ap: AccessPath) -> int:
-        idx = self._by_uid.get(ap.uid)
-        if idx is not None:
-            return idx
-        tmask = self.oracle.type_mask(ap.type)
-        if isinstance(ap, Qualify):
-            taken = self.address_taken.qualify_taken(ap.field, ap.base.type, ap.type)
-            sig = (
-                "q",
-                ap.field,
-                taken,
-                tmask,
-                isinstance(ap.base.type, ObjectType),
-                self.oracle.type_mask(ap.base.type),
-                self.index_of(ap.base),
-            )
-        elif isinstance(ap, Subscript):
-            taken = self.address_taken.subscript_taken(ap.base.type, ap.type)
-            sig = ("s", taken, tmask, self.index_of(ap.base))
-        elif isinstance(ap, Deref):
-            sig = ("d", tmask)
-        else:  # VarRoot / FreshRoot
-            sig = ("r", tmask)
-        idx = self._index.get(sig)
-        if idx is None:
-            idx = self._index[sig] = len(self.sigs)
-            self.sigs.append(sig)
-            self.tmasks.append(tmask)
-        self._by_uid[ap.uid] = idx
-        return idx
+    return sig
 
-    def decide(self, ia: int, ib: int) -> bool:
-        if ia == ib:
-            return True  # equal signatures always alias
-        key = (ia, ib) if ia < ib else (ib, ia)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        sa, sb = self.sigs[ia], self.sigs[ib]
-        if sb[0] < sa[0]:  # canonical kind order: 'd' < 'q' < 'r' < 's'
-            sa, sb = sb, sa
-        ka, kb = sa[0], sb[0]
-        if ka == "q" and kb == "q":
-            if sa[1] != sb[1]:
-                result = False  # case 2, differing fields
-            elif sa[4] or sb[4]:
-                # case 2 with implicit deref: oracle on the base types
-                result = (sa[5] & sb[5]) != 0
-            else:
-                result = self.decide(sa[6], sb[6])  # case 2, embedded
-        elif ka == "q" and kb == "s":
-            result = False  # case 5
-        elif ka == "s" and kb == "s":
-            result = self.decide(sa[3], sb[3])  # case 6
-        elif ka == "d" and kb == "q":
-            result = sb[2] and (sa[1] & sb[3]) != 0  # case 3
-        elif ka == "d" and kb == "s":
-            result = sb[1] and (sa[1] & sb[2]) != 0  # case 4
-        else:  # case 7: d-d and everything against a root
-            result = (self.tmasks[ia] & self.tmasks[ib]) != 0
-        self._memo[key] = result
-        return result
+
+def _classes_by(paths: List[AccessPath], key) -> Tuple[List[int], list, List[AccessPath]]:
+    """``(path_class, class_keys, class_reps)``: classes numbered in
+    first-appearance order, each with its key and first member."""
+    class_by_key: Dict[object, int] = {}
+    keys: list = []
+    reps: List[AccessPath] = []
+    path_class = []
+    for ap in paths:
+        k = key(ap)
+        c = class_by_key.get(k)
+        if c is None:
+            c = class_by_key[k] = len(keys)
+            keys.append(k)
+            reps.append(ap)
+        path_class.append(c)
+    return path_class, keys, reps
 
 
 class BulkAliasMatrix:
@@ -227,8 +127,8 @@ class BulkAliasMatrix:
     #: Partition schemes, most structured first (see module docstring).
     SCHEMES = ("typedecl", "field", "generic")
 
-    #: Attributes dropped by ``__getstate__`` and rebuilt lazily.
-    _TRANSIENT = ("_row_cache", "_arrays", "_index_by_uid")
+    #: Attributes dropped by ``__getstate__``.
+    _TRANSIENT = ("_row_cache", "_index_by_uid")
 
     def __init__(
         self,
@@ -261,8 +161,9 @@ class BulkAliasMatrix:
         self.class_same = class_same
         self.class_proc_counts = class_proc_counts
         self._row_cache: Dict[int, int] = {}
-        self._arrays = None
-        self._index_by_uid: Dict[int, int] = index_by_uid or {}
+        # None: built elsewhere (unpickled or arena-backed), so the
+        # process-local uid map is unavailable.
+        self._index_by_uid = index_by_uid
 
     # -- construction ---------------------------------------------------
 
@@ -295,13 +196,13 @@ class BulkAliasMatrix:
     ) -> "BulkAliasMatrix":
         proc_names = list(references)
         paths: List[AccessPath] = []
-        index_by_path: Dict[AccessPath, int] = {}
+        index_by_uid: Dict[int, int] = {}  # paths are hash-consed
         proc_masks: List[int] = []
         for proc_index, aps in enumerate(references.values()):
             for ap in aps:
-                i = index_by_path.get(ap)
+                i = index_by_uid.get(ap.uid)
                 if i is None:
-                    i = index_by_path[ap] = len(paths)
+                    i = index_by_uid[ap.uid] = len(paths)
                     paths.append(ap)
                     proc_masks.append(0)
                 proc_masks[i] |= 1 << proc_index
@@ -311,8 +212,7 @@ class BulkAliasMatrix:
             paths, analysis)
 
         # Adjacency rows, diagonal included.  O(k²) decisions, but k is
-        # the number of query-equivalence classes, not references — and
-        # each decision is a memoised mask test, not an analysis query.
+        # the number of query-equivalence classes, not references.
         rows = [0] * k
         for i in range(k):
             if (i & 127) == 0:
@@ -354,7 +254,7 @@ class BulkAliasMatrix:
             class_sumsq=sumsq,
             class_same=same,
             class_proc_counts=proc_counts,
-            index_by_uid={ap.uid: i for ap, i in index_by_path.items()},
+            index_by_uid=index_by_uid,
         )
 
     @classmethod
@@ -364,47 +264,33 @@ class BulkAliasMatrix:
                Callable[[int], bool]]:
         """Choose a scheme and return
         ``(scheme, path_class, n_classes, adjacent, self_adjacent)``."""
-        oracle = getattr(analysis, "oracle", None)
-        if isinstance(analysis, FieldTypeDeclAnalysis) and _oracle_has_mask(oracle):
-            table = _FieldSigTable(analysis)
-            class_sig: List[int] = []
-            class_by_sig: Dict[int, int] = {}
-            path_class = []
-            for ap in paths:
-                si = table.index_of(ap)
-                c = class_by_sig.get(si)
-                if c is None:
-                    c = class_by_sig[si] = len(class_sig)
-                    class_sig.append(si)
-                path_class.append(c)
-            return (
-                "field",
-                path_class,
-                len(class_sig),
-                lambda i, j: table.decide(class_sig[i], class_sig[j]),
-                lambda i: True,  # decide(s, s) is reflexively True
-            )
-        if isinstance(analysis, TypeDeclAnalysis) and _oracle_has_mask(oracle):
-            class_masks: List[int] = []
-            class_by_mask: Dict[int, int] = {}
-            path_class = []
-            for ap in paths:
-                m = oracle.type_mask(ap.type)
-                c = class_by_mask.get(m)
-                if c is None:
-                    c = class_by_mask[m] = len(class_masks)
-                    class_masks.append(m)
-                path_class.append(c)
+        may_alias = analysis.may_alias_canonical
+        if isinstance(analysis, FieldTypeDeclAnalysis):
+            path_class, sigs, reps = _classes_by(paths, _signature_fn(analysis))
+
+            def adjacent(i: int, j: int) -> bool:
+                a, b = sigs[i], sigs[j]
+                if a[0] == "q":
+                    if b[0] == "s" or (b[0] == "q" and a[1] != b[1]):
+                        return False  # case 5, or case 2 with differing fields
+                elif a[0] == "s" and b[0] == "q":
+                    return False  # case 5, other order
+                return may_alias(reps[i], reps[j])
+
+            # Same signature: always aliases (module docstring).
+            return "field", path_class, len(sigs), adjacent, lambda i: True
+        if isinstance(analysis, TypeDeclAnalysis):
+            type_mask = analysis.oracle.type_mask
+            path_class, masks, _ = _classes_by(paths, lambda ap: type_mask(ap.type))
             return (
                 "typedecl",
                 path_class,
-                len(class_masks),
-                lambda i, j: (class_masks[i] & class_masks[j]) != 0,
+                len(masks),
+                lambda i, j: (masks[i] & masks[j]) != 0,
                 lambda i: True,  # masks contain the type's own bit
             )
         # Generic: one singleton class per distinct path, representative
         # queries for adjacency (including the diagonal).
-        may_alias = analysis.may_alias_canonical
         return (
             "generic",
             list(range(len(paths))),
@@ -422,10 +308,6 @@ class BulkAliasMatrix:
     @property
     def n_classes(self) -> int:
         return len(self.class_rows)
-
-    @property
-    def n_procs(self) -> int:
-        return len(self.proc_names)
 
     def adjacent_pairs(self) -> int:
         """Number of set bits on or above the diagonal (unordered
@@ -447,15 +329,15 @@ class BulkAliasMatrix:
         """Matrix index of an access path seen at build time.
 
         Uids are process-local, so this map is transient: a matrix that
-        crossed a pickle boundary answers index- and row-based queries
-        only.
+        crossed a pickle boundary (or came out of an arena) answers
+        index- and row-based queries only.
         """
+        if self._index_by_uid is None:
+            raise LookupError(
+                "path-index map is process-local and was dropped on "
+                "pickling; query by index instead")
         idx = self._index_by_uid.get(strip_index(ap).uid)
         if idx is None:
-            if not self._index_by_uid:
-                raise LookupError(
-                    "path-index map is process-local and was dropped on "
-                    "pickling; query by index instead")
             raise KeyError("{} is not a reference path of this matrix".format(ap))
         return idx
 
@@ -477,86 +359,34 @@ class BulkAliasMatrix:
 
     # -- bulk counting --------------------------------------------------
 
-    def count_pairs(self, backend: Optional[str] = None) -> BulkCounts:
+    def count_pairs(self) -> BulkCounts:
         """Table 5 counts by pure kernels over the prebuilt matrix.
 
         Within-class terms are gated on the diagonal bit; cross-class
-        terms on the off-diagonal bits.  Both kernels are exact integer
-        arithmetic and agree bit-for-bit with the reference engine.
+        terms on the off-diagonal bits.  Exact integer arithmetic that
+        agrees bit-for-bit with the reference engine.
         """
-        if backend is None:
-            backend = default_backend(self.n_classes)
-        if backend not in BACKENDS:
-            raise ValueError(
-                "unknown backend {!r}; expected one of {}".format(backend, BACKENDS))
-        with obs.span("bulk.count", analysis=self.analysis_name, backend=backend):
-            if backend == "numpy":
-                if not HAVE_NUMPY:
-                    raise RuntimeError(
-                        "numpy backend requested but numpy is unavailable")
-                return self._count_numpy()
-            return self._count_python()
-
-    def _count_python(self) -> BulkCounts:
-        rows = self.class_rows
-        totals = self.class_totals
-        proc_counts = self.class_proc_counts
-        references = sum(totals)
-        local = 0
-        global_ = 0
-        for c in range(len(rows)):
-            row = rows[c]
-            if (row >> c) & 1:
-                t = totals[c]
-                global_ += self.class_same[c] + (t * t - self.class_sumsq[c]) // 2
-                for n in proc_counts[c].values():
-                    local += n * (n - 1) // 2
-            for off in iter_bits(row >> (c + 1)):
-                j = c + 1 + off
-                global_ += totals[c] * totals[j]
-                ca, cb = proc_counts[c], proc_counts[j]
-                if len(cb) < len(ca):
-                    ca, cb = cb, ca
-                local += sum(n * cb.get(p, 0) for p, n in ca.items())
-        return BulkCounts(references, local, global_)
-
-    def _count_numpy(self) -> BulkCounts:
-        if self.n_classes == 0:
-            return BulkCounts(0, 0, 0)
-        adj, occupancy, totals, same, sumsq = self._numpy_arrays()
-        upper = _np.triu(adj, 1).astype(_np.int64)
-        cross_global = int(totals @ upper @ totals)
-        cross_local = int(((occupancy @ occupancy.T) * upper).sum())
-        diag = _np.diagonal(adj)
-        within_global = int((same + (totals * totals - sumsq) // 2)[diag].sum())
-        within_local = int(
-            ((occupancy * (occupancy - 1)) // 2).sum(axis=1)[diag].sum())
-        return BulkCounts(
-            int(totals.sum()),
-            cross_local + within_local,
-            cross_global + within_global,
-        )
-
-    def _numpy_arrays(self):
-        arrays = self._arrays
-        if arrays is None:
-            k = self.n_classes
-            adj = _np.zeros((k, k), dtype=bool)
-            for i, row in enumerate(self.class_rows):
-                for j in iter_bits(row):
-                    adj[i, j] = True
-            occupancy = _np.zeros((k, max(self.n_procs, 1)), dtype=_np.int64)
-            for c, pc in enumerate(self.class_proc_counts):
-                for p, n in pc.items():
-                    occupancy[c, p] = n
-            arrays = self._arrays = (
-                adj,
-                occupancy,
-                _np.asarray(self.class_totals, dtype=_np.int64),
-                _np.asarray(self.class_same, dtype=_np.int64),
-                _np.asarray(self.class_sumsq, dtype=_np.int64),
-            )
-        return arrays
+        with obs.span("bulk.count", analysis=self.analysis_name):
+            rows = self.class_rows
+            totals = self.class_totals
+            proc_counts = self.class_proc_counts
+            local = 0
+            global_ = 0
+            for c in range(len(rows)):
+                row = rows[c]
+                if (row >> c) & 1:
+                    t = totals[c]
+                    global_ += self.class_same[c] + (t * t - self.class_sumsq[c]) // 2
+                    for n in proc_counts[c].values():
+                        local += n * (n - 1) // 2
+                for off in iter_bits(row >> (c + 1)):
+                    j = c + 1 + off
+                    global_ += totals[c] * totals[j]
+                    ca, cb = proc_counts[c], proc_counts[j]
+                    if len(cb) < len(ca):
+                        ca, cb = cb, ca
+                    local += sum(n * cb.get(p, 0) for p, n in ca.items())
+            return BulkCounts(sum(totals), local, global_)
 
     # -- pickling -------------------------------------------------------
 
@@ -569,13 +399,12 @@ class BulkAliasMatrix:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._row_cache = {}
-        self._arrays = None
-        self._index_by_uid = {}
+        self._index_by_uid = None
 
 
 def build_matrix(program, analysis: AliasAnalysis) -> BulkAliasMatrix:
     """Matrix for a :class:`~repro.ir.cfg.ProgramIR` in one call."""
-    # Imported lazily: alias_pairs imports this module for its bulk
+    # Imported lazily: alias_pairs imports this module for its fast
     # engine, so a module-level import would be circular.
     from repro.analysis.alias_pairs import collect_heap_references
 

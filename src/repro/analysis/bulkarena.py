@@ -19,9 +19,9 @@ read-only:
   mapping, so every worker reads the *same* physical pages — the
   per-worker cost drops from a full copy to page-cache references.
 
-The substitution is sound because the counting kernels only ever index
-and iterate those sequences (:meth:`BulkAliasMatrix._count_python` and
-``_numpy_arrays`` both walk ``class_rows`` by position).  Pickling an
+The substitution is sound because the counting kernel only ever indexes
+and iterates those sequences (:meth:`BulkAliasMatrix.count_pairs` walks
+``class_rows`` by position).  Pickling an
 arena-backed matrix degrades gracefully — :class:`_MmapIntSeq` reduces
 to a plain list — but the point of the arena is not to pickle at all.
 """

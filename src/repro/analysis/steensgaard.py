@@ -105,9 +105,6 @@ class SteensgaardTypesOracle(TypeOracle):
             return True
         return (self.class_mask(tp) & self.class_mask(tq)) != 0
 
-    def type_mask(self, t: Type) -> int:
-        return self.class_mask(t)
-
 
 def SteensgaardFieldTypeRefsAnalysis(
     checked: CheckedModule,

@@ -27,6 +27,9 @@ class TypeDeclOracle(TypeOracle):
         return self.subtypes.compatible(p.type, q.type)
 
     def type_mask(self, t) -> int:
+        """``Subtypes(t)`` as a bitmask: compatibility is intersection,
+        so the class matrix (:mod:`repro.analysis.bulk`) keys TypeDecl's
+        classes on it."""
         return self.subtypes.subtype_mask(t)
 
 

@@ -12,10 +12,9 @@ the engineering numbers this reproduction adds on top:
   pairs of one benchmark, in thousands of queries per second, with the
   memo-cache statistics;
 * ``table5`` — full-suite Table 5 wall time under the per-pair
-  ``reference`` engine, the partition-based ``fast`` engine and the
-  bitset-matrix ``bulk`` kernels (build time and pure re-count time
-  reported separately, plus the active backend), with the resulting
-  speedups;
+  ``reference`` engine and the one-shot ``fast`` engine, plus the fast
+  engine's class matrices split into build time (``bulk_build_ms``) and
+  pure re-count time (``bulk_ms``), with the resulting speedups;
 * ``serve`` — the warm-daemon vs cold single-shot row pair
   (``serve.warm`` / ``serve.cold``, :mod:`repro.serve.bench`): what the
   analysis-as-a-service layer saves on repeated queries.
@@ -32,7 +31,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.analysis import ANALYSIS_NAMES, AliasPairCounter, collect_heap_references
-from repro.analysis.bulk import BACKENDS, BulkAliasMatrix, default_backend
+from repro.analysis.bulk import BulkAliasMatrix
 from repro.analysis.openworld import AnalysisContext
 from repro.bench import registry
 from repro.bench.suite import BASE, BenchmarkSuite
@@ -44,7 +43,8 @@ from repro.obs import history
 #: ``bulk_ms``, ``bulk_backend``, ``speedup_bulk``).
 #: v3: new top-level ``serve`` section with the warm-daemon vs cold
 #: single-shot row pair (``serve.warm`` / ``serve.cold``).
-SCHEMA_VERSION = 3
+#: v4: ``table5.bulk_backend`` dropped (one stdlib kernel remains).
+SCHEMA_VERSION = 4
 
 #: Keys every report must carry (the smoke test checks these).
 REPORT_KEYS = ("schema", "query_benchmark", "construction_ms",
@@ -112,7 +112,8 @@ def measure_query_throughput(suite: BenchmarkSuite, name: str,
 def measure_table5_engines(suite: BenchmarkSuite,
                            names: Optional[List[str]] = None,
                            rounds: int = 3) -> Dict[str, object]:
-    """Full-suite Table 5 counting time under both engines.
+    """Full-suite Table 5 counting time: both engines, then the fast
+    engine's matrices built once and re-counted.
 
     Analyses and reference lists are built once; each timed round clears
     the per-analysis query caches so both engines start cold.
@@ -160,7 +161,6 @@ def measure_table5_engines(suite: BenchmarkSuite,
         "fast_ms": round(fast * 1000, 3),
         "bulk_build_ms": round(bulk_build * 1000, 3),
         "bulk_ms": round(bulk * 1000, 3),
-        "bulk_backend": default_backend(),
         "speedup": round(reference / max(fast, 1e-9), 2),
         "speedup_bulk": round(fast / max(bulk, 1e-9), 2),
     }
@@ -266,9 +266,11 @@ def validate_report(report: Dict[str, object]) -> None:
         assert set(cache) == {"hits", "misses", "size"}
         assert cache["misses"] == cache["size"] > 0
     table5 = report["table5"]
+    assert set(table5) == {"programs", "analyses", "reference_ms", "fast_ms",
+                           "bulk_build_ms", "bulk_ms", "speedup",
+                           "speedup_bulk"}
     assert table5["reference_ms"] > 0 and table5["fast_ms"] > 0
     assert table5["bulk_build_ms"] > 0 and table5["bulk_ms"] > 0
-    assert table5["bulk_backend"] in BACKENDS
     assert table5["speedup"] > 0 and table5["speedup_bulk"] > 0
     serve = report["serve"]
     assert serve["queries"] > 0 and serve["benchmarks"]

@@ -981,17 +981,17 @@ def cmd_corpus_bench(args) -> int:
     speedup = (fast / bulk) if bulk > 0 else float("inf")
     print("corpus bench: {} (program, analysis) counts, repeats={}".format(
         int(phases["corpus.bench.programs"]), args.repeats))
-    print("  corpus.table5.fast : {:8.3f}s".format(fast))
+    print("  corpus.table5.fast : {:8.3f}s (one-shot count)".format(fast))
     print("  corpus.bulk.build  : {:8.3f}s (one-time, reusable matrices)"
           .format(build))
-    print("  corpus.table5.bulk : {:8.3f}s".format(bulk))
+    print("  corpus.table5.bulk : {:8.3f}s (reused matrices)".format(bulk))
     print("  corpus.table5.bulk_shared : {:8.3f}s (mmap arena, {} B, "
           "jobs={})".format(shared,
                             int(phases["corpus.bulk.arena_bytes"]),
                             args.jobs or 1))
-    print("  count speedup (fast/bulk): {:.1f}x".format(speedup))
+    print("  reuse speedup (one-shot/reused): {:.1f}x".format(speedup))
     if args.min_speedup is not None and speedup < args.min_speedup:
-        log.error("corpus bench: bulk speedup {:.1f}x below required {:.1f}x"
+        log.error("corpus bench: reuse speedup {:.1f}x below required {:.1f}x"
                   .format(speedup, args.min_speedup))
         return 1
     return 0
@@ -1078,9 +1078,9 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         "--engine",
         choices=ENGINES,
         default=DEFAULT_ENGINE,
-        help="alias-pair counting engine: the partition-based fast path, "
-        "the per-pair reference loop, the bitset-matrix bulk kernels, or "
-        "differential (all + agreement check)",
+        help="alias-pair counting engine: the class-matrix fast path, "
+        "the per-pair reference loop, or differential (both + agreement "
+        "check)",
     )
 
 
@@ -1267,8 +1267,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify re-checks every shard hash; run drives the Table 5 count "
         "(and optionally the soundness oracles) over the shards with a "
         "multiprocessing pool and per-shard fault bulkheads, appending a "
-        "throughput record to the benchmark ledger; bench times the fast "
-        "engine against the bulk bitset kernels over the whole corpus.",
+        "throughput record to the benchmark ledger; bench times one-shot "
+        "counts against re-counts of reused class matrices over the whole "
+        "corpus.",
     )
     corpus_sub = p.add_subparsers(dest="corpus_cmd", required=True,
                                   metavar="{gen,verify,run,bench}")
@@ -1303,9 +1304,7 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("dir")
     cr.add_argument("--jobs", type=int, default=None, metavar="N",
                     help="shard worker processes (default: cpu count)")
-    cr.add_argument("--engine", choices=("reference", "fast", "bulk",
-                                         "differential"), default="bulk",
-                    help="alias-pair engine for the count (default bulk)")
+    _add_engine_flag(cr)
     cr.add_argument("--analyses", metavar="NAME[,NAME...]", default=None,
                     help="comma-separated analyses (default: all three)")
     cr.add_argument("--oracles", action="store_true",
@@ -1337,11 +1336,11 @@ def build_parser() -> argparse.ArgumentParser:
     cr.set_defaults(func=cmd_corpus, corpus_func=cmd_corpus_run)
 
     cb = corpus_sub.add_parser(
-        "bench", help="fast vs bulk engine timing over a corpus")
+        "bench", help="one-shot vs reused class-matrix timing over a corpus")
     cb.add_argument("dir")
     cb.add_argument("--repeats", type=int, default=3,
-                    help="timed count repetitions per engine (default 3; "
-                    "the bulk matrices build once and re-count)")
+                    help="timed count repetitions per phase (default 3; "
+                    "the reused matrices build once and re-count)")
     cb.add_argument("--max-shards", type=int, default=None, metavar="N")
     cb.add_argument("--jobs", type=int, default=None, metavar="N",
                     help="worker processes for the shared-arena count "
@@ -1349,8 +1348,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "arena instead of pickling matrices per worker "
                     "(default 1 = in-process)")
     cb.add_argument("--min-speedup", type=float, default=None, metavar="X",
-                    help="exit nonzero unless fast/bulk count speedup "
-                    "reaches X")
+                    help="exit nonzero unless the one-shot/reused count "
+                    "speedup reaches X")
     cb.add_argument("--history", metavar="FILE.jsonl",
                     default="BENCH_history.jsonl",
                     help="ledger to append the phase record to")

@@ -603,7 +603,7 @@ def _battery_sources() -> List[Tuple[str, str]]:
 
 
 def _expected_counts(sources: List[Tuple[str, str]]) -> Dict[tuple, tuple]:
-    """Cold-engine ground truth for every (source, analysis, world)."""
+    """Reference-engine ground truth for every (source, analysis, world)."""
     from repro import compile_program
     from repro.analysis import ANALYSIS_NAMES
     from repro.analysis.alias_pairs import AliasPairCounter
@@ -618,7 +618,7 @@ def _expected_counts(sources: List[Tuple[str, str]]) -> Dict[tuple, tuple]:
             for open_world in (False, True):
                 counter = AliasPairCounter(
                     base, program.analysis(analysis, open_world=open_world),
-                    engine="fast")
+                    engine="reference")
                 expected[(key, analysis, open_world)] = \
                     counter.count().counts()
     return expected
@@ -1109,7 +1109,7 @@ def _run_corpus_battery(spec: ChaosPlanSpec, seed: int,
     violations: List[dict] = []
     with armed(plan_spec(spec.name).plan(seed)):
         report = run_corpus(
-            corpus_dir, jobs=2, engine="bulk",
+            corpus_dir, jobs=2,
             shard_timeout_seconds=2.5, max_shard_retries=1)
     quarantined = {q["index"] for q in report.quarantined}
     completed = {o.index for o in report.shards}

@@ -10,7 +10,7 @@ runs every cross-check the repository's correctness argument rests on:
   (a finer analysis reporting an alias the coarser one denies breaks the
   hierarchy of Section 2), and each closed-world answer must imply the
   open-world one;
-* **engine** — the partition-based fast pair counter must agree exactly
+* **engine** — the class-matrix fast pair counter must agree exactly
   with the reference O(e²) loop on all three analyses;
 * **dynamic soundness** — run the program under the tracer, record which
   access paths hit each heap address, and require every dynamically

@@ -17,9 +17,9 @@ Request fields:
 * ``worlds`` — ``tables`` only: ``"closed"``, ``"open"`` or ``"both"``;
   overrides ``open_world`` and ``"both"`` serves all six configurations
   in one response (closed rows first);
-* ``engine`` — reserved for parity with the CLI; the daemon always
-  answers from bulk matrices and (in differential mode) cross-checks
-  against the cold fast/reference engines.
+* ``engine`` — accepted for parity with the CLI and otherwise ignored:
+  the daemon has one engine, answering from its class matrices and (in
+  differential mode) cross-checking against the cold reference engine.
 * ``trace_id`` — optional client-chosen trace id (a non-empty string);
   the daemon mints one when absent.  Every response echoes the id in a
   ``"trace"`` key — ok *and* error responses, so a fault injected

@@ -1,10 +1,9 @@
-"""The bitset-matrix bulk engine: kernels, backends, pickling, fuzz.
+"""The class matrix behind the fast engine: kernels, pickling, fuzz.
 
-``test_engine_differential.py`` already pins bulk == fast == reference
-on every bundled benchmark (the ``differential`` engine runs all
-three).  This module covers what that sweep cannot: the matrix object
-itself (point queries, schemes, pickling, the python/numpy backends)
-and a wide net of generated programs.
+``test_engine_differential.py`` already pins fast == reference on every
+bundled benchmark (the ``differential`` engine runs both).  This module
+covers what that sweep cannot: the matrix object itself (point queries,
+schemes, pickling) and a wide net of generated programs.
 """
 
 import pickle
@@ -14,14 +13,13 @@ import pytest
 from repro import compile_program
 from repro.analysis import (
     ANALYSIS_NAMES,
+    EXTRA_ANALYSIS_NAMES,
     AliasPairCounter,
     AlwaysAliasAnalysis,
     BulkAliasMatrix,
     build_matrix,
     collect_heap_references,
 )
-from repro.analysis import bulk as bulk_mod
-from repro.analysis.bulk import BACKEND_ENV, HAVE_NUMPY, default_backend
 from repro.bench.suite import BASE
 from repro.qa.generator import GenConfig, generate_program
 
@@ -37,15 +35,18 @@ def _matrix(suite, bench="slisp", analysis_name="FieldTypeDecl"):
 
 
 def test_fuzz_seeds_all_engines_agree():
-    """bulk == fast == reference over a wide range of generated shapes."""
+    """fast == reference over a wide range of generated shapes, in both
+    worlds and for the Steensgaard baseline."""
+    configs = [(name, False) for name in ANALYSIS_NAMES + EXTRA_ANALYSIS_NAMES]
+    configs += [(name, True) for name in ANALYSIS_NAMES]
     for seed in range(FUZZ_SEEDS):
         generated = generate_program(seed, FUZZ_CONFIG)
         program = compile_program(generated.render(), generated.name)
         ir = program.pipeline.base().program
-        for analysis_name in ANALYSIS_NAMES:
-            analysis = program.analysis(analysis_name)
+        for analysis_name, open_world in configs:
+            analysis = program.analysis(analysis_name, open_world=open_world)
             # The differential engine raises AssertionError on any
-            # disagreement between the three engines.
+            # disagreement between the two engines.
             AliasPairCounter(ir, analysis, engine="differential").count()
 
 
@@ -61,8 +62,9 @@ def test_point_queries_match_analysis(suite):
 def test_scheme_selection(suite):
     _, _, typedecl = _matrix(suite, analysis_name="TypeDecl")
     assert typedecl.scheme == "typedecl"
-    _, _, field = _matrix(suite, analysis_name="FieldTypeDecl")
-    assert field.scheme == "field"
+    for name in ("FieldTypeDecl", "SMFieldTypeRefs", "SteensgaardFieldTypeRefs"):
+        _, _, field = _matrix(suite, analysis_name=name)
+        assert field.scheme == "field"
     base = suite.build("slisp", BASE)
     generic = build_matrix(base.program, AlwaysAliasAnalysis())
     assert generic.scheme == "generic"
@@ -71,52 +73,16 @@ def test_scheme_selection(suite):
     assert generic.adjacent_pairs() == k * (k + 1) // 2
 
 
-def test_backends_agree(suite):
-    _, _, matrix = _matrix(suite)
-    python = matrix.count_pairs(backend="python")
-    assert matrix.count_pairs(backend="python") == python  # deterministic
-    if HAVE_NUMPY:
-        assert matrix.count_pairs(backend="numpy") == python
-    with pytest.raises(ValueError):
-        matrix.count_pairs(backend="cuda")
-
-
-def test_default_backend_env_override(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "python")
-    assert default_backend() == "python"
-    monkeypatch.setenv(BACKEND_ENV, "fortran")
-    with pytest.raises(ValueError):
-        default_backend()
-    monkeypatch.delenv(BACKEND_ENV)
-    assert default_backend() == ("numpy" if HAVE_NUMPY else "python")
-    # Small matrices fall back to the big-int kernel: numpy's per-call
-    # dispatch overhead swamps the O(k^2) work below the threshold.
-    assert default_backend(n_classes=4) == "python"
-    big = bulk_mod.NUMPY_MIN_CLASSES
-    assert default_backend(n_classes=big) == \
-        ("numpy" if HAVE_NUMPY else "python")
-    monkeypatch.setenv(BACKEND_ENV, "numpy")
-    assert default_backend(n_classes=4) == "numpy"  # forced wins
-
-
-def test_numpy_backend_requires_numpy(suite, monkeypatch):
-    _, _, matrix = _matrix(suite)
-    monkeypatch.setattr(bulk_mod, "HAVE_NUMPY", False)
-    with pytest.raises(RuntimeError):
-        matrix.count_pairs(backend="numpy")
-
-
 def test_pickle_round_trip(suite):
     """Matrices ship between processes: counts and queries survive."""
     _, analysis, matrix = _matrix(suite)
-    before = matrix.count_pairs(backend="python")
+    before = matrix.count_pairs()
+    assert matrix.count_pairs() == before  # deterministic
     clone = pickle.loads(pickle.dumps(matrix))
     assert clone.analysis_name == matrix.analysis_name
     assert clone.n_paths == matrix.n_paths
     assert clone.n_classes == matrix.n_classes
-    assert clone.count_pairs(backend="python") == before
-    if HAVE_NUMPY:
-        assert clone.count_pairs(backend="numpy") == before
+    assert clone.count_pairs() == before
     # Index-level queries survive; the uid -> index map is a transient
     # tied to the building process's interned paths, so path lookups
     # fail loudly rather than silently misresolving.
@@ -128,8 +94,27 @@ def test_pickle_round_trip(suite):
         for aps in collect_heap_references(suite.build("slisp", BASE).program).values()
         for ap in aps
     )
-    with pytest.raises(LookupError):
+    with pytest.raises(LookupError) as dropped:
         clone.index_of(some_path)
+    assert dropped.type is LookupError  # not KeyError: the map is gone
+
+
+def test_index_of_on_empty_matrix_is_key_error(suite):
+    """A freshly built matrix with zero reference paths still has its
+    uid map: an unknown path is a KeyError, not the pickled-matrix
+    LookupError."""
+    program = compile_program(
+        "MODULE Empty;\nVAR x: INTEGER;\nBEGIN\n  x := 1;\nEND Empty.\n",
+        "Empty")
+    matrix = build_matrix(program.pipeline.base().program,
+                          program.analysis("FieldTypeDecl"))
+    assert matrix.n_paths == 0
+    assert matrix.count_pairs().counts() == (0, 0, 0)
+    ir, _, _ = _matrix(suite)
+    foreign = next(ap for aps in collect_heap_references(ir).values()
+                   for ap in aps)
+    with pytest.raises(KeyError):
+        matrix.index_of(foreign)
 
 
 def test_from_references_matches_build_matrix(suite):

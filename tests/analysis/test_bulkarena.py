@@ -56,9 +56,8 @@ def test_arena_roundtrips_counts_and_rows(tmp_path, matrices):
             assert list(view.class_members) == list(original.class_members)
             assert list(view.path_proc_masks) == \
                 list(original.path_proc_masks)
-            for backend in ("python", None):
-                assert view.count_pairs(backend=backend).counts() == \
-                    original.count_pairs(backend=backend).counts()
+            assert view.count_pairs().counts() == \
+                original.count_pairs().counts()
 
 
 def test_mmap_seq_slices_negatives_and_pickles(tmp_path, matrices):

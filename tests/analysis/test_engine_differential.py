@@ -1,13 +1,12 @@
-"""Differential test for the three alias-pair counting engines.
+"""Differential test for the two alias-pair counting engines.
 
-The partition-based ``fast`` engine and the bitset-matrix ``bulk``
-engine must produce byte-identical Table 5 counts to the per-pair
-``reference`` loop, for every bundled benchmark, every analysis
-(including the Steensgaard baseline and the trivial analyses exercising
-the generic fallback), closed and open world.  The ``differential``
-engine runs all three and raises AssertionError on any mismatch.
-(``tests/analysis/test_bulk.py`` covers the matrix object itself and a
-200-seed generated-program sweep.)
+The class-matrix ``fast`` engine must produce byte-identical Table 5
+counts to the per-pair ``reference`` loop, for every bundled benchmark,
+every analysis (including the Steensgaard baseline and the trivial
+analyses exercising the generic fallback), closed and open world.  The
+``differential`` engine runs both and raises AssertionError on any
+mismatch.  (``tests/analysis/test_bulk.py`` covers the matrix object
+itself and a 200-seed generated-program sweep.)
 """
 
 import pytest

@@ -7,6 +7,8 @@ test failing, then checks the CLI writer round-trips through JSON.
 
 import json
 
+import pytest
+
 from repro.bench import perfjson
 
 
@@ -18,6 +20,12 @@ def test_quick_bench_schema(tmp_path):
     )
     perfjson.validate_report(report)
     assert report["table5"]["programs"] == ["format", "m3cg"]
+    # v3 reports (with the dropped numpy-era ``bulk_backend`` row) fail.
+    with pytest.raises(AssertionError):
+        perfjson.validate_report(dict(report, schema=3))
+    v3_table5 = dict(report["table5"], bulk_backend="python")
+    with pytest.raises(AssertionError):
+        perfjson.validate_report(dict(report, table5=v3_table5))
 
     # The report must be valid JSON and survive a round trip.
     path = tmp_path / "BENCH_alias.json"
@@ -26,8 +34,6 @@ def test_quick_bench_schema(tmp_path):
 
 
 def test_validate_rejects_missing_keys():
-    import pytest
-
     with pytest.raises(AssertionError):
         perfjson.validate_report({"schema": perfjson.SCHEMA_VERSION})
 

@@ -76,20 +76,20 @@ def test_verify_detects_tampering(tmp_path):
 
 
 def test_run_in_process(corpus_dir):
-    report = run_corpus(corpus_dir, jobs=1, engine="bulk")
+    report = run_corpus(corpus_dir, jobs=1)
     assert report.ok
     assert report.programs == 12
     assert report.compiled == 12
     assert report.references > 0
     assert report.jobs == 1
     data = report.to_json()
-    assert data["engine"] == "bulk"
+    assert data["engine"] == "fast"
     assert len(data["shards"]) == 3
 
 
 def test_run_jobs_match_and_merge_is_deterministic(corpus_dir):
-    serial = run_corpus(corpus_dir, jobs=1, engine="bulk")
-    pooled = run_corpus(corpus_dir, jobs=2, engine="bulk")
+    serial = run_corpus(corpus_dir, jobs=1)
+    pooled = run_corpus(corpus_dir, jobs=2)
     assert pooled.jobs == 2
     for a, b in zip(serial.shards, pooled.shards):
         assert (a.index, a.programs, a.references, a.local_pairs,
@@ -98,11 +98,11 @@ def test_run_jobs_match_and_merge_is_deterministic(corpus_dir):
 
 
 def test_run_differential_engine(corpus_dir):
-    bulk = run_corpus(corpus_dir, jobs=1, engine="bulk", max_shards=1)
+    fast = run_corpus(corpus_dir, jobs=1, max_shards=1)
     diff = run_corpus(corpus_dir, jobs=1, engine="differential", max_shards=1)
     assert diff.ok
     assert (diff.local_pairs, diff.global_pairs) == \
-        (bulk.local_pairs, bulk.global_pairs)
+        (fast.local_pairs, fast.global_pairs)
     assert diff.programs == 5  # max_shards limited the sweep
 
 
@@ -158,6 +158,25 @@ def test_bench_corpus_counts_agree(corpus_dir):
     assert phases["corpus.bulk.arena_bytes"] > 0.0
 
 
+def test_bench_corpus_one_shot_phase_adds_no_inner_spans(corpus_dir):
+    """One-shot counts leave the aliaspairs.count series alone, so the
+    ledger's (suite) series stay comparable; recording resumes after."""
+    from repro.obs import core
+
+    core.reset()
+    core.enable()
+    try:
+        bench_corpus(corpus_dir, repeats=1, max_shards=1)
+        assert core.enabled()
+        names = [s.name for s in core.recorder().spans()]
+    finally:
+        core.disable()
+        core.reset()
+    assert names.count("corpus.table5.fast") == 1
+    assert "aliaspairs.count" not in names
+    assert "bulk.build" in names  # the reuse phase still records
+
+
 def test_bench_corpus_shared_arena_with_workers(corpus_dir):
     """jobs>1: forked workers count from the inherited arena mapping."""
     phases = bench_corpus(corpus_dir, repeats=1, jobs=2)
@@ -209,7 +228,7 @@ def test_v1_manifest_back_compat(tmp_path):
     assert [s.sha256 for s in iter_shards(out)] == \
         [s.sha256 for s in manifest.shards]
     assert verify_corpus(out).n_programs == 12
-    report = run_corpus(out, jobs=1, engine="bulk", max_shards=1)
+    report = run_corpus(out, jobs=1, max_shards=1)
     assert report.ok and report.programs == 5
 
 
