@@ -2,8 +2,8 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-quick bench-gate tables examples fuzz \
-	fuzz-smoke profile-smoke corpus-gen corpus-smoke serve-smoke \
+.PHONY: install test bench bench-quick bench-gate perfbench tables examples \
+	fuzz fuzz-smoke profile-smoke corpus-gen corpus-smoke serve-smoke \
 	chaos-smoke obs-smoke trace-smoke clean
 
 # Seeded smoke corpus shared by corpus-smoke and the bench gate.
@@ -45,6 +45,12 @@ bench-gate: corpus-gen
 	PYTHONPATH=src $(PYTHON) -m repro -q bench gate \
 		--baseline BENCH_baseline.jsonl --repeats 2 --no-history --tol 2.0 \
 		--corpus $(CORPUS_SMOKE_DIR) --serve
+
+# The repository benchmark (perfbench/README.md): compile-suite,
+# execute-suite and serve-edit, end-to-end metrics, every answer checked.
+# For the per-layer breakdown run it by hand with `--trace 1`.
+perfbench:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 20
 
 tables:
 	$(PYTHON) -m repro tables

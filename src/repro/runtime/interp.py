@@ -14,6 +14,22 @@ conventions (Table 4 of the paper):
 simulated address, loaded/stored value, instruction and activation id —
 the information ATOM recorded for the limit study.
 
+Execution is *compiled*: the first call of a procedure in an
+:class:`Interpreter` turns its CFG into one Python function (generated
+source, see :class:`_ProcCompiler`) in which every instruction is
+inlined as straight-line code on Python locals, and blocks with a single
+predecessor are nested into it.  What the function does is fixed by the
+interpreter's configuration (machine, tracer, step budget, deadline),
+so none of those is tested per instruction.  The function is cached per
+interpreter, never on the IR: optimization passes mutate IR in place.
+
+The instruction count follows the one-at-a-time contract at every point
+other code can observe it.  Each straight-line segment adds its count
+before it runs; segments end at calls, so a callee (and its step check)
+sees the caller's count up to and including the call; and when an
+instruction raises, the instructions after it in the segment are taken
+back off, so a trap leaves exactly the faulting instruction counted.
+
 Cache simulation is *deferred*: during execution every counted memory
 access appends its address to a log, and the machine model replays the
 log once the program finishes.  A direct-mapped cache depends only on
@@ -23,11 +39,13 @@ simulation become two separately-timed phases (``run.interp`` and
 ``run.cachesim`` spans) and the per-access cost drops to a list append.
 """
 
+import itertools
 import sys
-from typing import Callable, Dict, List, Optional
+import weakref
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ir import instructions as ins
-from repro.ir.cfg import ProgramIR, ProcIR
+from repro.ir.cfg import BasicBlock, ProgramIR, ProcIR
 from repro.lang import types as ty
 from repro.lang.errors import ResourceLimitError
 from repro.obs import core as obs
@@ -51,6 +69,11 @@ from repro.runtime.values import (
 
 _GLOBAL_BASE = 0x1000
 _STACK_BASE = 0x8000_0000
+
+#: Instructions between wall-clock polls: cheap enough to leave on,
+#: frequent enough that runaway programs (and runaway *interpretation*)
+#: die promptly.
+_POLL_EVERY = 2048
 
 
 class ExecutionStats:
@@ -99,13 +122,17 @@ class _Store:
 
 
 class Frame(_Store):
-    """One procedure activation."""
+    """One procedure activation whose locals have their address taken.
 
-    __slots__ = ("temps", "activation_id", "base_addr", "_addrs")
+    Temps live in Python locals of the compiled procedure; only a
+    procedure with ``AddrVar`` on a local builds a frame, because that
+    handle (:class:`VarLoc`) needs a store and a stack address.
+    """
 
-    def __init__(self, n_temps: int, activation_id: int, base_addr: int):
-        super().__init__()
-        self.temps: List[object] = [None] * n_temps
+    __slots__ = ("activation_id", "base_addr", "_addrs")
+
+    def __init__(self, vars: Dict[Symbol, object], activation_id: int, base_addr: int):
+        self.vars = vars
         self.activation_id = activation_id
         self.base_addr = base_addr
         self._addrs: Dict[Symbol, int] = {}
@@ -138,11 +165,12 @@ class Interpreter:
         self.heap = HeapAllocator()
         self.globals = _Store()
         self._global_addrs: Dict[Symbol, int] = {}
-        self._activations = 0
+        self._activations = itertools.count(1)
         # Deferred cache simulation: loads append ``addr``, stores append
         # ``~addr`` (addresses are non-negative, so the complement is an
         # unambiguous store marker).  Replayed by ``run()``.
         self._mem_log: List[int] = []
+        self._procs = _ProcTable(self)
         self._init_globals()
 
     # ------------------------------------------------------------------
@@ -166,24 +194,18 @@ class Interpreter:
             # trap or resource limit, so partial runs stay accounted for.
             if self.machine is not None and self._mem_log:
                 with obs.span("run.cachesim", accesses=len(self._mem_log)):
-                    self._replay_machine()
+                    self.machine.replay(self._mem_log)
+                    self._mem_log.clear()
             self._export_metrics()
+            # The compiled procedures and their namespaces reference one
+            # another; dropping them lets the interpreter (and the
+            # program's heap) be freed without the cycle collector.
+            self._procs.clear()
         self.stats.allocations = self.heap.allocations
         self.stats.cycles = self.stats.instructions + (
             self.machine.cycles if self.machine else 0
         )
         return self.stats
-
-    def _replay_machine(self) -> None:
-        """Feed the buffered access log through the machine model."""
-        load = self.machine.load
-        store = self.machine.store
-        for entry in self._mem_log:
-            if entry >= 0:
-                load(entry)
-            else:
-                store(~entry)
-        self._mem_log = []
 
     def _export_metrics(self) -> None:
         """Bulk-increment the registry counters for this run (one call
@@ -204,454 +226,746 @@ class Interpreter:
     # Procedure execution
 
     def call_proc(self, name: str, args: List[object]) -> object:
-        proc = self.program.procs[name]
-        self._activations += 1
-        self.stats.calls += 1
-        frame = Frame(
-            proc.n_temps,
-            self._activations,
-            _STACK_BASE + (self._activations % 4096) * 512,
-        )
-        checked = proc.checked
-        for symbol, value in zip(checked.params, args):
-            frame.vars[symbol] = value
-        for symbol in checked.all_symbols:
-            if symbol not in frame.vars and symbol.type is not None:
-                frame.vars[symbol] = default_value(symbol.type)
-        return self._run_frame(proc, frame)
+        """Run procedure *name* on *args*; returns its result."""
+        return self._procs[name](args)
 
-    def _run_frame(self, proc: ProcIR, frame: Frame) -> object:
-        stats = self.stats
-        block = proc.entry
-        max_steps = self.max_steps
-        deadline = self.deadline
-        last_poll = stats.instructions
-        while True:
-            for instr in block.instrs:
-                if instr.counted:
-                    stats.instructions += 1
-                self._execute(instr, frame)
-            terminator = block.terminator
-            if terminator is None:
-                raise M3RuntimeError(
-                    "procedure {} fell off the end of block {}".format(
-                        proc.name, block.name
-                    )
-                )
-            stats.instructions += 1
-            if max_steps is not None and stats.instructions > max_steps:
-                raise ResourceLimitError(
-                    "execution exceeded the step budget of {}".format(max_steps),
-                    kind="steps",
-                )
-            # Poll the wall clock every ~2048 instructions: cheap enough
-            # to leave on, frequent enough that runaway programs (and
-            # runaway *interpretation*) die promptly.
-            if stats.instructions - last_poll >= 2048:
-                last_poll = stats.instructions
-                if deadline is not None:
-                    deadline.check()
-                else:
-                    guards.check_active()
-            if isinstance(terminator, ins.Jump):
-                block = terminator.target
-            elif isinstance(terminator, ins.Branch):
-                cond = frame.temps[terminator.cond.index]
-                block = terminator.if_true if cond else terminator.if_false
-            elif isinstance(terminator, ins.Return):
-                if terminator.value is None:
-                    return None
-                return frame.temps[terminator.value.index]
-            else:  # pragma: no cover
-                raise M3RuntimeError("unknown terminator {!r}".format(terminator))
 
-    # ------------------------------------------------------------------
-    # Instruction dispatch
+class _ProcTable(dict):
+    """Procedure name -> compiled function, compiled on first call.
 
-    def _execute(self, instr: ins.Instr, frame: Frame) -> None:
-        handler = _HANDLERS.get(type(instr))
-        if handler is None:  # pragma: no cover
-            raise M3RuntimeError("unknown instruction {!r}".format(instr))
-        handler(self, instr, frame)
+    Holds its interpreter weakly: the interpreter holds the table."""
 
-    # -- scalar plumbing -------------------------------------------------
+    def __init__(self, interp: Interpreter):
+        super().__init__()
+        self.interp = weakref.ref(interp)
 
-    def _ex_const(self, instr: ins.ConstInstr, frame: Frame) -> None:
-        frame.temps[instr.dest.index] = instr.value
-
-    def _ex_move(self, instr: ins.Move, frame: Frame) -> None:
-        frame.temps[instr.dest.index] = frame.temps[instr.src.index]
-
-    def _ex_loadvar(self, instr: ins.LoadVar, frame: Frame) -> None:
-        symbol = instr.symbol
-        if symbol.is_global:
-            value = self.globals.vars[symbol]
-            self.stats.other_loads += 1
-            if self.machine:
-                self._mem_log.append(self._global_addrs[symbol])
-        else:
-            value = frame.vars[symbol]
-        frame.temps[instr.dest.index] = value
-
-    def _ex_storevar(self, instr: ins.StoreVar, frame: Frame) -> None:
-        symbol = instr.symbol
-        value = frame.temps[instr.src.index]
-        if symbol.is_global:
-            self.globals.vars[symbol] = value
-            self.stats.other_stores += 1
-            if self.machine:
-                self._mem_log.append(~self._global_addrs[symbol])
-        else:
-            frame.vars[symbol] = value
-
-    def _ex_binop(self, instr: ins.BinOp, frame: Frame) -> None:
-        a = frame.temps[instr.left.index]
-        b = frame.temps[instr.right.index]
-        frame.temps[instr.dest.index] = _BINOPS[instr.op](a, b)
-
-    def _ex_unop(self, instr: ins.UnOp, frame: Frame) -> None:
-        a = frame.temps[instr.operand.index]
-        frame.temps[instr.dest.index] = (-a) if instr.op == "neg" else (not a)
-
-    # -- heap loads/stores -----------------------------------------------
-
-    def _heap_load(self, instr: ins.Instr, addr: int, value: object, frame: Frame) -> None:
-        self.stats.heap_loads += 1
-        if self.machine:
-            self._mem_log.append(addr)
-        if self.tracer:
-            self.tracer.on_load(instr, addr, value, frame.activation_id)
-
-    def _heap_store(self, instr: ins.Instr, addr: int, value: object, frame: Frame) -> None:
-        self.stats.heap_stores += 1
-        if self.machine:
-            self._mem_log.append(~addr)
-        if self.tracer:
-            self.tracer.on_store(instr, addr, value, frame.activation_id)
-
-    def _ex_loadfield(self, instr: ins.LoadField, frame: Frame) -> None:
-        base = frame.temps[instr.base.index]
-        if base is None:
-            if instr.speculative:
-                frame.temps[instr.dest.index] = None
-                return
-            raise M3RuntimeError("NIL dereference at {}".format(instr.loc))
-        value = base.slots[instr.field]
-        self._heap_load(instr, base.field_addr(instr.field), value, frame)
-        frame.temps[instr.dest.index] = value
-
-    def _ex_storefield(self, instr: ins.StoreField, frame: Frame) -> None:
-        base = frame.temps[instr.base.index]
-        if base is None:
-            raise M3RuntimeError("NIL dereference at {}".format(instr.loc))
-        value = frame.temps[instr.src.index]
-        base.slots[instr.field] = value
-        self._heap_store(instr, base.field_addr(instr.field), value, frame)
-
-    def _ex_loadelem(self, instr: ins.LoadElem, frame: Frame) -> None:
-        array = frame.temps[instr.base.index]
-        index = frame.temps[instr.index.index]
-        if instr.speculative:
-            if (
-                array is None
-                or not isinstance(index, int)
-                or index < 0
-                or index >= len(array.data)
-            ):
-                frame.temps[instr.dest.index] = None
-                return
-        if array is None:
-            raise M3RuntimeError("NIL array at {}".format(instr.loc))
-        array.check_index(index)
-        value = array.data[index]
-        self._heap_load(instr, array.elem_addr(index), value, frame)
-        frame.temps[instr.dest.index] = value
-
-    def _ex_storeelem(self, instr: ins.StoreElem, frame: Frame) -> None:
-        array = frame.temps[instr.base.index]
-        if array is None:
-            raise M3RuntimeError("NIL array at {}".format(instr.loc))
-        index = frame.temps[instr.index.index]
-        array.check_index(index)
-        value = frame.temps[instr.src.index]
-        array.data[index] = value
-        self._heap_store(instr, array.elem_addr(index), value, frame)
-
-    def _ex_loadrope_data(self, instr: ins.LoadDopeData, frame: Frame) -> None:
-        dope = frame.temps[instr.base.index]
-        if dope is None:
-            if instr.speculative:
-                frame.temps[instr.dest.index] = None
-                return
-            raise M3RuntimeError("NIL open array at {}".format(instr.loc))
-        value = dope.data
-        self._heap_load(instr, dope.data_addr, value, frame)
-        frame.temps[instr.dest.index] = value
-
-    def _ex_loadrope_count(self, instr: ins.LoadDopeCount, frame: Frame) -> None:
-        dope = frame.temps[instr.base.index]
-        if dope is None:
-            if instr.speculative:
-                frame.temps[instr.dest.index] = 0
-                return
-            raise M3RuntimeError("NIL open array at {}".format(instr.loc))
-        value = dope.count
-        self._heap_load(instr, dope.count_addr, value, frame)
-        frame.temps[instr.dest.index] = value
-
-    # -- indirect (handles and scalar REF cells) ---------------------------
-
-    def _ex_loadind(self, instr: ins.LoadInd, frame: Frame) -> None:
-        handle = frame.temps[instr.handle.index]
-        if handle is None:
-            if instr.speculative:
-                frame.temps[instr.dest.index] = None
-                return
-            raise M3RuntimeError("NIL dereference at {}".format(instr.loc))
-        if isinstance(handle, VarLoc):
-            value = handle.store.vars[handle.symbol]
-            self.stats.other_loads += 1
-            if self.machine:
-                self._mem_log.append(handle.addr)
-        elif isinstance(handle, FieldLoc):
-            value = handle.ref.slots[handle.field]
-            self._heap_load(instr, handle.ref.field_addr(handle.field), value, frame)
-        elif isinstance(handle, ElemLoc):
-            handle.array.check_index(handle.index)
-            value = handle.array.data[handle.index]
-            self._heap_load(instr, handle.array.elem_addr(handle.index), value, frame)
-        elif isinstance(handle, RecordRef):
-            value = handle.slots[RecordRef.SCALAR_SLOT]
-            self._heap_load(
-                instr, handle.field_addr(RecordRef.SCALAR_SLOT), value, frame
-            )
-        else:
-            raise M3RuntimeError("bad indirect load target {!r}".format(handle))
-        frame.temps[instr.dest.index] = value
-
-    def _ex_storeind(self, instr: ins.StoreInd, frame: Frame) -> None:
-        handle = frame.temps[instr.handle.index]
-        value = frame.temps[instr.src.index]
-        if handle is None:
-            raise M3RuntimeError("NIL dereference at {}".format(instr.loc))
-        if isinstance(handle, VarLoc):
-            handle.store.vars[handle.symbol] = value
-            self.stats.other_stores += 1
-            if self.machine:
-                self._mem_log.append(~handle.addr)
-        elif isinstance(handle, FieldLoc):
-            handle.ref.slots[handle.field] = value
-            self._heap_store(instr, handle.ref.field_addr(handle.field), value, frame)
-        elif isinstance(handle, ElemLoc):
-            handle.array.check_index(handle.index)
-            handle.array.data[handle.index] = value
-            self._heap_store(instr, handle.array.elem_addr(handle.index), value, frame)
-        elif isinstance(handle, RecordRef):
-            handle.slots[RecordRef.SCALAR_SLOT] = value
-            self._heap_store(
-                instr, handle.field_addr(RecordRef.SCALAR_SLOT), value, frame
-            )
-        else:
-            raise M3RuntimeError("bad indirect store target {!r}".format(handle))
-
-    # -- address-of --------------------------------------------------------
-
-    def _ex_addrvar(self, instr: ins.AddrVar, frame: Frame) -> None:
-        symbol = instr.symbol
-        if symbol.is_global:
-            loc = VarLoc(self.globals, symbol, self._global_addrs[symbol])
-        else:
-            loc = VarLoc(frame, symbol, frame.var_addr(symbol))
-        frame.temps[instr.dest.index] = loc
-
-    def _ex_addrfield(self, instr: ins.AddrField, frame: Frame) -> None:
-        base = frame.temps[instr.base.index]
-        if base is None:
-            raise M3RuntimeError("NIL dereference at {}".format(instr.loc))
-        frame.temps[instr.dest.index] = FieldLoc(base, instr.field)
-
-    def _ex_addrelem(self, instr: ins.AddrElem, frame: Frame) -> None:
-        array = frame.temps[instr.base.index]
-        if array is None:
-            raise M3RuntimeError("NIL array at {}".format(instr.loc))
-        index = frame.temps[instr.index.index]
-        array.check_index(index)
-        frame.temps[instr.dest.index] = ElemLoc(array, index)
-
-    # -- allocation ---------------------------------------------------------
-
-    def _ex_newobject(self, instr: ins.NewObject, frame: Frame) -> None:
-        addr = self.heap.allocate(ObjectRef.size_of(instr.object_type))
-        frame.temps[instr.dest.index] = ObjectRef(instr.object_type, addr)
-
-    def _ex_newrecord(self, instr: ins.NewRecord, frame: Frame) -> None:
-        addr = self.heap.allocate(RecordRef.size_of(instr.ref_type))
-        frame.temps[instr.dest.index] = RecordRef(instr.ref_type, addr)
-
-    def _ex_newfixedarray(self, instr: ins.NewFixedArray, frame: Frame) -> None:
-        target = instr.ref_type.target
-        assert isinstance(target, ty.ArrayType) and target.length is not None
-        addr = self.heap.allocate(ArrayRef.size_of(target.element, target.length))
-        frame.temps[instr.dest.index] = ArrayRef(target.element, target.length, addr)
-
-    def _ex_newopenarray(self, instr: ins.NewOpenArray, frame: Frame) -> None:
-        target = instr.ref_type.target
-        assert isinstance(target, ty.ArrayType) and target.is_open
-        size = frame.temps[instr.size.index]
-        if not isinstance(size, int) or size < 0:
-            raise M3RuntimeError("bad open array size {!r}".format(size))
-        data_addr = self.heap.allocate(ArrayRef.size_of(target.element, size))
-        data = ArrayRef(target.element, size, data_addr)
-        dope_addr = self.heap.allocate(DopeRef.SIZE)
-        frame.temps[instr.dest.index] = DopeRef(data, dope_addr)
-
-    # -- calls ---------------------------------------------------------------
-
-    def _ex_call(self, instr: ins.Call, frame: Frame) -> None:
-        args = [frame.temps[a.index] for a in instr.args]
-        if self.machine:
-            self.machine.cycles += self.machine.CALL_OVERHEAD
-        result = self.call_proc(instr.proc_name, args)
-        if instr.dest is not None:
-            frame.temps[instr.dest.index] = result
-
-    def _ex_callmethod(self, instr: ins.CallMethod, frame: Frame) -> None:
-        receiver = frame.temps[instr.receiver.index]
-        if receiver is None:
-            raise M3RuntimeError("method call on NIL at {}".format(instr.loc))
-        impl = receiver.otype.method_impl(instr.method_name)
-        if impl is None:
-            raise M3RuntimeError(
-                "method {} unimplemented for {}".format(
-                    instr.method_name, receiver.otype.name
-                )
-            )
-        args = [frame.temps[a.index] for a in instr.args]
-        if self.machine:
-            self.machine.cycles += (
-                self.machine.CALL_OVERHEAD + self.machine.METHOD_DISPATCH_OVERHEAD
-            )
-        result = self.call_proc(impl, [receiver] + args)
-        if instr.dest is not None:
-            frame.temps[instr.dest.index] = result
-
-    def _ex_builtin(self, instr: ins.Builtin, frame: Frame) -> None:
-        args = [frame.temps[a.index] for a in instr.args]
-        result = _BUILTIN_IMPLS[instr.name](self, args, instr)
-        if instr.dest is not None:
-            frame.temps[instr.dest.index] = result
-
-    def _ex_typetest(self, instr: ins.TypeTest, frame: Frame) -> None:
-        value = frame.temps[instr.src.index]
-        if value is None:
-            result = True  # NIL is a member of every object type
-        elif isinstance(value, ObjectRef):
-            result = ty.is_subtype(value.otype, instr.target_type)
-        else:
-            result = False
-        frame.temps[instr.dest.index] = result
-
-    def _ex_narrow(self, instr: ins.NarrowChk, frame: Frame) -> None:
-        value = frame.temps[instr.src.index]
-        if value is not None:
-            if not isinstance(value, ObjectRef) or not ty.is_subtype(
-                value.otype, instr.target_type
-            ):
-                raise M3RuntimeError(
-                    "NARROW to {} fails at {}".format(instr.target_type.name, instr.loc)
-                )
-        frame.temps[instr.dest.index] = value
+    def __missing__(self, name: str) -> Callable[[List[object]], object]:
+        interp = self.interp()
+        fn = self[name] = _ProcCompiler(interp, interp.program.procs[name]).build()
+        return fn
 
 
 # ----------------------------------------------------------------------
-# Operator and builtin tables
+# Procedure compiler
 
 
-def _div(a: int, b: int) -> int:
-    if b == 0:
-        raise M3RuntimeError("DIV by zero")
-    return a // b
-
-
-def _mod(a: int, b: int) -> int:
-    if b == 0:
-        raise M3RuntimeError("MOD by zero")
-    return a % b
-
-
-_BINOPS: Dict[str, Callable[[object, object], object]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "DIV": _div,
-    "MOD": _mod,
-    "=": lambda a, b: a == b,
-    "#": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "AND": lambda a, b: bool(a and b),
-    "OR": lambda a, b: bool(a or b),
-}
-
-
-def _bi_textchar(interp: Interpreter, args: List[object], instr: ins.Instr) -> object:
-    text, index = args
+def _text_char(text: str, index: object) -> str:
     if not isinstance(index, int) or index < 0 or index >= len(text):
         raise M3RuntimeError("TextChar index {} out of range".format(index))
     return text[index]
 
 
-def _bi_assert(interp: Interpreter, args: List[object], instr: ins.Instr) -> object:
-    if not args[0]:
-        raise M3RuntimeError("assertion failed at {}".format(instr.loc))
-    return None
-
-
-_BUILTIN_IMPLS: Dict[str, Callable[[Interpreter, List[object], ins.Instr], object]] = {
-    "ORD": lambda i, a, _: ord(a[0]) if isinstance(a[0], str) else int(a[0]),
-    "VAL": lambda i, a, _: chr(a[0]),
-    "ABS": lambda i, a, _: abs(a[0]),
-    "MIN": lambda i, a, _: min(a[0], a[1]),
-    "MAX": lambda i, a, _: max(a[0], a[1]),
-    "TextLen": lambda i, a, _: len(a[0]),
-    "TextChar": _bi_textchar,
-    "TextCat": lambda i, a, _: a[0] + a[1],
-    "IntToText": lambda i, a, _: str(a[0]),
-    "CharToText": lambda i, a, _: a[0],
-    "PutText": lambda i, a, _: i.stats.output.append(a[0]),
-    "PutInt": lambda i, a, _: i.stats.output.append(str(a[0])),
-    "PutChar": lambda i, a, _: i.stats.output.append(a[0]),
-    "ASSERT": _bi_assert,
+#: Builtin name -> expression over its argument names ``{0}``, ``{1}``.
+#: ``out`` appends to the program's output.
+_BUILTINS: Dict[str, str] = {
+    "ORD": "ord({0}) if isinstance({0}, str) else int({0})",
+    "VAL": "chr({0})",
+    "ABS": "abs({0})",
+    "MIN": "min({0}, {1})",
+    "MAX": "max({0}, {1})",
+    "TextLen": "len({0})",
+    "TextChar": "text_char({0}, {1})",
+    "TextCat": "{0} + {1}",
+    "IntToText": "str({0})",
+    "CharToText": "{0}",
+    "PutText": "out({0})",
+    "PutInt": "out(str({0}))",
+    "PutChar": "out({0})",
 }
 
+#: BinOp operator -> Python operator.
+_BINOPS: Dict[str, str] = {
+    "+": "+", "-": "-", "*": "*",
+    "=": "==", "#": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+}
 
-_HANDLERS = {
-    ins.ConstInstr: Interpreter._ex_const,
-    ins.Move: Interpreter._ex_move,
-    ins.LoadVar: Interpreter._ex_loadvar,
-    ins.StoreVar: Interpreter._ex_storevar,
-    ins.BinOp: Interpreter._ex_binop,
-    ins.UnOp: Interpreter._ex_unop,
-    ins.LoadField: Interpreter._ex_loadfield,
-    ins.StoreField: Interpreter._ex_storefield,
-    ins.LoadElem: Interpreter._ex_loadelem,
-    ins.StoreElem: Interpreter._ex_storeelem,
-    ins.LoadDopeData: Interpreter._ex_loadrope_data,
-    ins.LoadDopeCount: Interpreter._ex_loadrope_count,
-    ins.LoadInd: Interpreter._ex_loadind,
-    ins.StoreInd: Interpreter._ex_storeind,
-    ins.AddrVar: Interpreter._ex_addrvar,
-    ins.AddrField: Interpreter._ex_addrfield,
-    ins.AddrElem: Interpreter._ex_addrelem,
-    ins.NewObject: Interpreter._ex_newobject,
-    ins.NewRecord: Interpreter._ex_newrecord,
-    ins.NewFixedArray: Interpreter._ex_newfixedarray,
-    ins.NewOpenArray: Interpreter._ex_newopenarray,
-    ins.Call: Interpreter._ex_call,
-    ins.CallMethod: Interpreter._ex_callmethod,
-    ins.Builtin: Interpreter._ex_builtin,
-    ins.TypeTest: Interpreter._ex_typetest,
-    ins.NarrowChk: Interpreter._ex_narrow,
+#: The :class:`ExecutionStats` counters a segment adds ahead of time.
+#: An emitted instruction marks where one of its own counts happens by
+#: yielding the counter's index instead of a line.
+_COUNTERS = ("instructions", "heap_loads", "heap_stores", "other_loads",
+             "other_stores")
+_HEAP_LOAD, _HEAP_STORE, _OTHER_LOAD, _OTHER_STORE = 1, 2, 3, 4
+
+#: Inline-nesting depth beyond which a block is dispatched instead
+#: (Python caps statement nesting).
+_MAX_NESTING = 40
+
+#: The condition under which ``check_index`` traps: ``{0}`` the index,
+#: ``{1}`` the array.
+_BAD_INDEX = "not isinstance({0}, int) or {0} < 0 or {0} >= len({1}.data)"
+
+_PROLOGUE = '''\
+def run(args):
+    act = next(activations)
+    stats.calls += 1
+    v = TEMPLATE.copy()'''
+
+#: One emitted line: (indent, text, counts to take back if it raises).
+_Line = Tuple[int, str, Optional[Tuple[int, ...]]]
+
+
+def _take_back(stats: ExecutionStats, counts: Optional[Tuple[int, ...]]) -> None:
+    """Undo the counts a segment added for instructions that never ran."""
+    if counts is not None:
+        for name, count in zip(_COUNTERS, counts):
+            setattr(stats, name, getattr(stats, name) - count)
+
+
+class _ProcCompiler:
+    """Generates and compiles the Python function for one procedure.
+
+    A block with exactly one predecessor is emitted inside that
+    predecessor (a jump continues in place, a branch nests an ``if``);
+    every other block is a *head*, dispatched by number in a ``while``
+    loop.
+
+    Each straight-line segment (split after every call) adds its
+    instruction count, and the loads and stores its instructions always
+    make, before it runs.  ``FIX`` maps each generated line to what its
+    segment added for work not yet done when that line runs; the
+    function's exception handler takes that back off.
+
+    A temp set once from a constant and read only later in the same
+    block is replaced by the literal.
+    """
+
+    def __init__(self, interp: Interpreter, proc: ProcIR):
+        self.interp = interp
+        self.proc = proc
+        self.machine = interp.machine
+        self.tracer = interp.tracer
+        self.ns: Dict[str, object] = {
+            "activations": interp._activations,
+            "stats": interp.stats,
+            "gvars": interp.globals.vars,
+            "gstore": interp.globals,
+            "log": interp._mem_log.append,
+            "mach": interp.machine,
+            "alloc": interp.heap.allocate,
+            "procs": interp._procs,
+            "out": interp.stats.output.append,
+            "poll": interp.deadline.check if interp.deadline is not None
+            else guards.check_active,
+            "take_back": _take_back,
+            "text_char": _text_char,
+            "is_subtype": ty.is_subtype,
+            "Frame": Frame,
+            "VarLoc": VarLoc,
+            "FieldLoc": FieldLoc,
+            "ElemLoc": ElemLoc,
+            "ObjectRef": ObjectRef,
+            "RecordRef": RecordRef,
+            "ArrayRef": ArrayRef,
+            "DopeRef": DopeRef,
+            "M3RuntimeError": M3RuntimeError,
+            "ResourceLimitError": ResourceLimitError,
+        }
+        if interp.tracer is not None:
+            self.ns["tload"] = interp.tracer.on_load
+            self.ns["tstore"] = interp.tracer.on_store
+        self._names: Dict[int, str] = {}
+        self.blocks = proc.blocks()
+        self.preds = dict.fromkeys(self.blocks, 0)
+        for block in self.blocks:
+            for succ in block.successors():
+                self.preds[succ] += 1
+        self.literals = self._constant_temps()
+        self.heads: Dict[BasicBlock, int] = {}
+        self.pending: List[BasicBlock] = []
+        self.bodies: List[List[_Line]] = []
+        self.uses_frame = False
+
+    def _constant_temps(self) -> Dict[int, str]:
+        """Temps defined once, by a constant with a Python literal, and
+        read only after it in the same block -> that literal."""
+        defs: Dict[int, int] = {}
+        where: Dict[int, BasicBlock] = {}
+        literal: Dict[int, str] = {}
+        late: Set[int] = set()  # read outside the defining block or before the def
+        for block in self.blocks:
+            for instr in block.all_instrs():
+                for temp in instr.sources:
+                    if where.get(temp.index) is not block:
+                        late.add(temp.index)
+                dest = instr.dest
+                if dest is not None:
+                    defs[dest.index] = defs.get(dest.index, 0) + 1
+                    where[dest.index] = block
+                    text = self.literal(instr.value) if isinstance(
+                        instr, ins.ConstInstr) else None
+                    if text is not None:
+                        literal[dest.index] = text
+        return {t: text for t, text in literal.items()
+                if defs[t] == 1 and t not in late}
+
+    # -- naming ------------------------------------------------------------
+
+    def const(self, obj: object) -> str:
+        """A namespace name bound to *obj*."""
+        name = self._names.get(id(obj))
+        if name is None:
+            name = self._names[id(obj)] = "K{}".format(len(self._names))
+            self.ns[name] = obj
+        return name
+
+    @staticmethod
+    def literal(value: object) -> Optional[str]:
+        if value is None or type(value) in (bool, str):
+            return repr(value)
+        if type(value) is int:
+            return repr(value) if value >= 0 else "({!r})".format(value)
+        return None
+
+    def t(self, temp: ins.Temp) -> str:
+        """The expression reading *temp*."""
+        return self.literals.get(temp.index) or "t{}".format(temp.index)
+
+    @staticmethod
+    def dest(instr: ins.Instr) -> str:
+        return "t{}".format(instr.dest.index)
+
+    def operand(self, instr: ins.Instr, temp: ins.Temp, scratch: str,
+                code: list, attribute: bool = False) -> str:
+        """*temp* as an operand read after *instr* writes its destination
+        (or, with *attribute*, as the object of an attribute access):
+        copied to *scratch* first where reading it in place is wrong."""
+        name = self.t(temp)
+        if (attribute and temp.index in self.literals) or (
+                instr.dest is not None and instr.dest.index == temp.index):
+            code.append("{} = {}".format(scratch, name))
+            return scratch
+        return name
+
+    # -- assembly ----------------------------------------------------------
+
+    def build(self) -> Callable[[List[object]], object]:
+        self.head(self.proc.entry)
+        while self.pending:
+            block = self.pending.pop()
+            body: List[_Line] = []
+            self.block(block, body, 0, 0)
+            self.bodies[self.heads[block]] = body
+        code = compile("\n".join(self.assemble()) + "\n",
+                       "<proc {}>".format(self.proc.name), "exec")
+        exec(code, self.ns)
+        return self.ns.pop("run")  # no ns -> function -> ns cycle
+
+    def assemble(self) -> List[str]:
+        checked = self.proc.checked
+        self.ns["TEMPLATE"] = {
+            symbol: default_value(symbol.type)
+            for symbol in checked.all_symbols if symbol.type is not None
+        }
+        lines = _PROLOGUE.splitlines()
+        if checked.params:
+            self.ns["PARAMS"] = tuple(checked.params)
+            lines.append("    v.update(zip(PARAMS, args))")
+        if self.uses_frame:
+            lines.append("    frame = Frame(v, act, {} + act % 4096 * 512)"
+                         .format(_STACK_BASE))
+        lines.append("    next_poll = stats.instructions + {}".format(_POLL_EVERY))
+        read = sorted({t.index for block in self.blocks
+                       for i in block.all_instrs() for t in i.sources
+                       if t.index not in self.literals})
+        if read:
+            lines.append("    " + " = ".join("t{}".format(i) for i in read)
+                         + " = None")
+        fix: Dict[int, Tuple[int, ...]] = {}
+        guarded = any(counts for body in self.bodies for _, _, counts in body)
+        depth = 1
+        if guarded:
+            lines.append("    try:")
+            depth = 2
+        if len(self.bodies) > 1:
+            lines.append("    " * depth + "b = 0")
+        lines.append("    " * depth + "while True:")
+
+        self.dispatch(0, len(self.bodies), depth + 1, lines, fix)
+        if guarded:
+            self.ns["FIX"] = fix
+            lines.append("    except BaseException as e_:")
+            lines.append("        take_back(stats, "
+                         "FIX.get(e_.__traceback__.tb_lineno))")
+            lines.append("        raise")
+        return lines
+
+    def dispatch(self, lo: int, hi: int, indent: int, lines: List[str],
+                 fix: Dict[int, Tuple[int, ...]]) -> None:
+        """Emit heads ``lo..hi-1``, selected on ``b`` by bisection."""
+        if hi - lo == 1:
+            self.emit_body(self.bodies[lo], indent, lines, fix)
+        elif hi - lo <= 3:
+            for k in range(lo, hi - 1):
+                lines.append("    " * indent + ("if" if k == lo else "elif")
+                             + " b == {}:".format(k))
+                self.emit_body(self.bodies[k], indent + 1, lines, fix)
+            lines.append("    " * indent + "else:")
+            self.emit_body(self.bodies[hi - 1], indent + 1, lines, fix)
+        else:
+            mid = (lo + hi) // 2
+            lines.append("    " * indent + "if b < {}:".format(mid))
+            self.dispatch(lo, mid, indent + 1, lines, fix)
+            lines.append("    " * indent + "else:")
+            self.dispatch(mid, hi, indent + 1, lines, fix)
+
+    @staticmethod
+    def emit_body(body: List[_Line], indent: int, lines: List[str],
+                  fix: Dict[int, Tuple[int, ...]]) -> None:
+        for extra, text, counts in body:
+            lines.append("    " * (indent + extra) + text)
+            if counts:
+                fix[len(lines)] = counts
+
+    def head(self, block: BasicBlock) -> int:
+        number = self.heads.get(block)
+        if number is None:
+            number = self.heads[block] = len(self.bodies)
+            self.bodies.append([])
+            self.pending.append(block)
+        return number
+
+    # -- blocks ------------------------------------------------------------
+
+    def block(self, block: BasicBlock, body: List[_Line], indent: int,
+              nesting: int) -> None:
+        """Emit *block* and the single-predecessor blocks it reaches."""
+        segments: List[List[ins.Instr]] = [[]]
+        for instr in block.instrs:
+            segments[-1].append(instr)
+            if instr.is_call:
+                segments.append([])
+        terminator = block.terminator
+        for number, segment in enumerate(segments):
+            final = number == len(segments) - 1 and terminator is not None
+            self.segment(segment, final, body, indent)
+        if terminator is None:
+            body.append((indent, "raise M3RuntimeError({!r})".format(
+                "procedure {} fell off the end of block {}".format(
+                    self.proc.name, block.name)), None))
+            return
+        max_steps = self.interp.max_steps
+        if max_steps is not None:
+            body.append((indent, "if n > {}: raise ResourceLimitError({!r}, "
+                         "kind='steps')".format(
+                             max_steps,
+                             "execution exceeded the step budget of {}".format(
+                                 max_steps)), None))
+        body.append((indent, "if n >= next_poll:", None))
+        body.append((indent + 1, "next_poll = n + {}".format(_POLL_EVERY), None))
+        body.append((indent + 1, "poll()", None))
+        if isinstance(terminator, ins.Jump):
+            self.goto(terminator.target, body, indent, nesting)
+        elif isinstance(terminator, ins.Branch):
+            body.append((indent, "if {}:".format(self.t(terminator.cond)), None))
+            self.goto(terminator.if_true, body, indent + 1, nesting + 1)
+            body.append((indent, "else:", None))
+            self.goto(terminator.if_false, body, indent + 1, nesting + 1)
+        elif isinstance(terminator, ins.Return):
+            body.append((indent, "return None" if terminator.value is None
+                         else "return {}".format(self.t(terminator.value)), None))
+        else:  # pragma: no cover
+            body.append((indent, "raise M3RuntimeError({!r})".format(
+                "unknown terminator {!r}".format(terminator)), None))
+
+    def segment(self, segment: List[ins.Instr], final: bool,
+                body: List[_Line], indent: int) -> None:
+        """Emit one straight-line run of instructions behind its counts;
+        *final* when the block's terminator ends it."""
+        code = [(instr, self.instr(instr)) for instr in segment]
+        pending = [0] * len(_COUNTERS)
+        for instr, items in code:
+            pending[0] += instr.counted
+            for item in items:
+                if isinstance(item, int):
+                    pending[item] += 1
+        if final:
+            pending[0] += 1
+            body.append((indent, "stats.instructions = n = "
+                         "stats.instructions + {}".format(pending[0]), None))
+        elif pending[0]:
+            body.append((indent, "stats.instructions += {}".format(pending[0]), None))
+        for name, count in zip(_COUNTERS[1:], pending[1:]):
+            if count:
+                body.append((indent, "stats.{} += {}".format(name, count), None))
+        for instr, items in code:
+            pending[0] -= instr.counted
+            for item in items:
+                if isinstance(item, int):
+                    pending[item] -= 1
+                    continue
+                text = item.lstrip(" ")
+                body.append((indent + (len(item) - len(text)) // 4, text,
+                             tuple(pending) if any(pending) else None))
+
+    def goto(self, target: BasicBlock, body: List[_Line], indent: int,
+             nesting: int) -> None:
+        if (target in self.heads or self.preds[target] != 1
+                or target is self.proc.entry or nesting > _MAX_NESTING):
+            body.append((indent, "b = {}".format(self.head(target)), None))
+            body.append((indent, "continue", None))
+        else:
+            self.block(target, body, indent, nesting)
+
+    # -- instructions --------------------------------------------------------
+    #
+    # An emitter returns the instruction's lines (nested lines indented
+    # by four spaces) and, where it always counts a load or store, the
+    # counter's index at the point the count happens.
+
+    def instr(self, instr: ins.Instr) -> list:
+        emit = _EMITTERS.get(type(instr))
+        if emit is None:  # pragma: no cover
+            return ["raise M3RuntimeError({!r})".format(
+                "unknown instruction {!r}".format(instr))]
+        return emit(self, instr)
+
+    @staticmethod
+    def nil_check(instr: ins.Instr, name: str, what: str) -> str:
+        """The line trapping if *name* is NIL."""
+        return "if {} is None: raise M3RuntimeError({!r})".format(
+            name, "{} at {}".format(what, instr.loc))
+
+    def heap_access(self, instr: ins.Instr, addr: str, value: str,
+                    store: bool, always: bool = True) -> list:
+        """Accounting of one heap load/store: counter, log, tracer.  Not
+        *always* (a speculative load) counts inline."""
+        code: list = []
+        if always:
+            code.append(_HEAP_STORE if store else _HEAP_LOAD)
+        else:
+            code.append("stats.heap_stores += 1" if store else "stats.heap_loads += 1")
+        if self.machine is not None and self.tracer is not None:
+            code.append("a_ = " + addr)
+            addr = "a_"
+        if self.machine is not None:
+            code.append("log(~({}))".format(addr) if store else "log({})".format(addr))
+        if self.tracer is not None:
+            code.append("{}({}, {}, {}, act)".format(
+                "tstore" if store else "tload", self.const(instr), addr, value))
+        return code
+
+    def speculate(self, instr: ins.Instr, test: str, default: str, code: list) -> list:
+        """Guard a speculative load: if *test* holds, the destination
+        gets *default* and nothing is counted."""
+        return (["if {}:".format(test),
+                 "    {} = {}".format(self.dest(instr), default),
+                 "else:"] + ["    " + line for line in code])
+
+    def e_const(self, instr: ins.ConstInstr) -> list:
+        if instr.dest.index in self.literals:
+            return []
+        value = self.literal(instr.value) or self.const(instr.value)
+        return ["{} = {}".format(self.dest(instr), value)]
+
+    def e_move(self, instr: ins.Move) -> list:
+        return ["{} = {}".format(self.dest(instr), self.t(instr.src))]
+
+    def e_loadvar(self, instr: ins.LoadVar) -> list:
+        symbol = instr.symbol
+        if not symbol.is_global:
+            return ["{} = v[{}]".format(self.dest(instr), self.const(symbol))]
+        code = ["{} = gvars[{}]".format(self.dest(instr), self.const(symbol)),
+                _OTHER_LOAD]
+        if self.machine is not None:
+            code.append("log({})".format(self.interp._global_addrs[symbol]))
+        return code
+
+    def e_storevar(self, instr: ins.StoreVar) -> list:
+        symbol = instr.symbol
+        if not symbol.is_global:
+            return ["v[{}] = {}".format(self.const(symbol), self.t(instr.src))]
+        code = ["gvars[{}] = {}".format(self.const(symbol), self.t(instr.src)),
+                _OTHER_STORE]
+        if self.machine is not None:
+            code.append("log({})".format(~self.interp._global_addrs[symbol]))
+        return code
+
+    def e_binop(self, instr: ins.BinOp) -> list:
+        dest, a, b = self.dest(instr), self.t(instr.left), self.t(instr.right)
+        op = instr.op
+        if op in _BINOPS:
+            return ["{} = {} {} {}".format(dest, a, _BINOPS[op], b)]
+        if op in ("DIV", "MOD"):
+            return ["if {} == 0: raise M3RuntimeError({!r})".format(
+                        b, "{} by zero".format(op)),
+                    "{} = {} {} {}".format(dest, a, "//" if op == "DIV" else "%", b)]
+        if op in ("AND", "OR"):
+            return ["{} = bool({} {} {})".format(dest, a, op.lower(), b)]
+        return ["raise M3RuntimeError({!r})".format(  # pragma: no cover
+            "unknown operator {!r}".format(op))]
+
+    def e_unop(self, instr: ins.UnOp) -> list:
+        return ["{} = {}{}".format(self.dest(instr),
+                                   "-" if instr.op == "neg" else "not ",
+                                   self.t(instr.operand))]
+
+    # -- heap loads/stores
+
+    def _load(self, instr: ins.Instr, code: list, value: str, addr: str,
+              base: str, nil_trap: str, default: str,
+              index: Optional[str] = None) -> list:
+        """A heap load of *value* at *addr*: trap on a NIL *base* (and on
+        a bad *index* into it), or, when speculative, yield *default*."""
+        dest = self.dest(instr)
+        load = ["{} = {}".format(dest, value)] + self.heap_access(
+            instr, addr, dest, store=False, always=not instr.speculative)
+        bad_index = _BAD_INDEX.format(index, base) if index else None
+        if instr.speculative:
+            test = "{} is None".format(base) + (
+                " or " + bad_index if bad_index else "")
+            return code + self.speculate(instr, test, default, load)
+        code.append(self.nil_check(instr, base, nil_trap))
+        if bad_index:
+            code.append("if {}: {}.check_index({})".format(bad_index, base, index))
+        return code + load
+
+    def e_loadfield(self, instr: ins.LoadField) -> list:
+        code: list = []
+        base = self.operand(instr, instr.base, "r_", code, attribute=True)
+        field = repr(instr.field)
+        return self._load(instr, code, "{}.slots[{}]".format(base, field),
+                          "{0}.addr + {0}.offsets[{1}]".format(base, field),
+                          base, "NIL dereference", "None")
+
+    def e_storefield(self, instr: ins.StoreField) -> list:
+        code: list = []
+        base = self.operand(instr, instr.base, "r_", code, attribute=True)
+        field = repr(instr.field)
+        src = self.t(instr.src)
+        return code + [
+            self.nil_check(instr, base, "NIL dereference"),
+            "{}.slots[{}] = {}".format(base, field, src),
+        ] + self.heap_access(instr, "{0}.addr + {0}.offsets[{1}]".format(
+            base, field), src, store=True)
+
+    def e_loadelem(self, instr: ins.LoadElem) -> list:
+        code: list = []
+        base = self.operand(instr, instr.base, "r_", code, attribute=True)
+        index = self.operand(instr, instr.index, "i_", code)
+        return self._load(instr, code, "{}.data[{}]".format(base, index),
+                          "{0}.addr + {1} * {0}.esize".format(base, index),
+                          base, "NIL array", "None", index)
+
+    def e_storeelem(self, instr: ins.StoreElem) -> list:
+        code: list = []
+        base = self.operand(instr, instr.base, "r_", code, attribute=True)
+        index = self.t(instr.index)
+        src = self.t(instr.src)
+        return code + [
+            self.nil_check(instr, base, "NIL array"),
+            "if {}: {}.check_index({})".format(
+                _BAD_INDEX.format(index, base), base, index),
+            "{}.data[{}] = {}".format(base, index, src),
+        ] + self.heap_access(instr, "{0}.addr + {1} * {0}.esize".format(
+            base, index), src, store=True)
+
+    def _dope_load(self, instr: ins.Instr, attr: str, offset: int, default: str) -> list:
+        code: list = []
+        base = self.operand(instr, instr.base, "r_", code, attribute=True)
+        addr = "{}.addr + {}".format(base, offset) if offset else base + ".addr"
+        return self._load(instr, code, "{}.{}".format(base, attr), addr,
+                          base, "NIL open array", default)
+
+    def e_loaddope_data(self, instr: ins.LoadDopeData) -> list:
+        return self._dope_load(instr, "data", DopeRef.DATA_OFFSET, "None")
+
+    def e_loaddope_count(self, instr: ins.LoadDopeCount) -> list:
+        return self._dope_load(instr, "count", DopeRef.COUNT_OFFSET, "0")
+
+    # -- indirect (handles and scalar REF cells)
+
+    def _indirect(self, instr: ins.Instr, store: bool) -> List[str]:
+        """The four handle kinds of LoadInd/StoreInd, as an if-chain on
+        ``h_``.  A load assigns ``x_``; a store writes ``x_``."""
+        slot = repr(RecordRef.SCALAR_SLOT)
+
+        def access(addr: str) -> List[str]:
+            return self.heap_access(instr, addr, "x_", store, always=False)
+
+        other = (["h_.store.vars[h_.symbol] = x_", "stats.other_stores += 1"]
+                 if store else
+                 ["x_ = h_.store.vars[h_.symbol]", "stats.other_loads += 1"])
+        if self.machine is not None:
+            other.append("log(~h_.addr)" if store else "log(h_.addr)")
+        cases = [
+            ("VarLoc", other),
+            ("FieldLoc", ["r_ = h_.ref", "f_ = h_.field"]
+             + (["r_.slots[f_] = x_"] if store else ["x_ = r_.slots[f_]"])
+             + access("r_.addr + r_.offsets[f_]")),
+            ("ElemLoc", ["r_ = h_.array", "i_ = h_.index", "r_.check_index(i_)"]
+             + (["r_.data[i_] = x_"] if store else ["x_ = r_.data[i_]"])
+             + access("r_.addr + i_ * r_.esize")),
+            ("RecordRef", (["h_.slots[{}] = x_".format(slot)] if store
+                           else ["x_ = h_.slots[{}]".format(slot)])
+             + access("h_.addr + h_.offsets[{}]".format(slot))),
+        ]
+        code = []
+        for k, (kind, lines) in enumerate(cases):
+            code.append("{} isinstance(h_, {}):".format("if" if k == 0 else "elif", kind))
+            code.extend("    " + line for line in lines)
+        code.append("else:")
+        code.append("    raise M3RuntimeError('bad indirect {} target {{!r}}'"
+                    ".format(h_))".format("store" if store else "load"))
+        return code
+
+    def e_loadind(self, instr: ins.LoadInd) -> list:
+        load = self._indirect(instr, store=False) + [
+            "{} = x_".format(self.dest(instr))]
+        code = ["h_ = {}".format(self.t(instr.handle))]
+        if instr.speculative:
+            return code + self.speculate(instr, "h_ is None", "None", load)
+        return code + [self.nil_check(instr, "h_", "NIL dereference")] + load
+
+    def e_storeind(self, instr: ins.StoreInd) -> list:
+        return ["h_ = {}".format(self.t(instr.handle)),
+                "x_ = {}".format(self.t(instr.src)),
+                self.nil_check(instr, "h_", "NIL dereference"),
+                ] + self._indirect(instr, store=True)
+
+    # -- address-of
+
+    def e_addrvar(self, instr: ins.AddrVar) -> list:
+        symbol = instr.symbol
+        name = self.const(symbol)
+        if symbol.is_global:
+            return ["{} = VarLoc(gstore, {}, {})".format(
+                self.dest(instr), name, self.interp._global_addrs[symbol])]
+        self.uses_frame = True
+        return ["{} = VarLoc(frame, {}, frame.var_addr({}))".format(
+            self.dest(instr), name, name)]
+
+    def e_addrfield(self, instr: ins.AddrField) -> list:
+        base = self.t(instr.base)
+        return [self.nil_check(instr, base, "NIL dereference"),
+                "{} = FieldLoc({}, {!r})".format(self.dest(instr), base, instr.field)]
+
+    def e_addrelem(self, instr: ins.AddrElem) -> list:
+        code: list = []
+        base = self.operand(instr, instr.base, "r_", code, attribute=True)
+        index = self.t(instr.index)
+        return code + [
+            self.nil_check(instr, base, "NIL array"),
+            "{}.check_index({})".format(base, index),
+            "{} = ElemLoc({}, {})".format(self.dest(instr), base, index)]
+
+    # -- allocation
+
+    def e_newobject(self, instr: ins.NewObject) -> list:
+        otype = instr.object_type
+        return ["{} = ObjectRef({}, alloc({}), {})".format(
+            self.dest(instr), self.const(otype), ObjectRef.size_of(otype),
+            self.const(ObjectRef.layout(otype)))]
+
+    def e_newrecord(self, instr: ins.NewRecord) -> list:
+        rtype = instr.ref_type
+        return ["{} = RecordRef({}, alloc({}), {})".format(
+            self.dest(instr), self.const(rtype), RecordRef.size_of(rtype),
+            self.const(RecordRef.layout(rtype)))]
+
+    def e_newfixedarray(self, instr: ins.NewFixedArray) -> list:
+        target = instr.ref_type.target
+        assert isinstance(target, ty.ArrayType) and target.length is not None
+        return ["{} = ArrayRef({}, {}, alloc({}))".format(
+            self.dest(instr), self.const(target.element), target.length,
+            ArrayRef.size_of(target.element, target.length))]
+
+    def e_newopenarray(self, instr: ins.NewOpenArray) -> list:
+        target = instr.ref_type.target
+        assert isinstance(target, ty.ArrayType) and target.is_open
+        element = self.const(target.element)
+        return ["n_ = {}".format(self.t(instr.size)),
+                "if not isinstance(n_, int) or n_ < 0: "
+                "raise M3RuntimeError('bad open array size {!r}'.format(n_))",
+                "r_ = ArrayRef({0}, n_, alloc(ArrayRef.size_of({0}, n_)))".format(element),
+                "{} = DopeRef(r_, alloc({}))".format(self.dest(instr), DopeRef.SIZE)]
+
+    # -- calls
+
+    def _call(self, instr: ins.Instr, callee: str, args: List[str], overhead: int) -> list:
+        code = []
+        if self.machine is not None:
+            code.append("mach.cycles += {}".format(overhead))
+        call = "procs[{}]([{}])".format(callee, ", ".join(args))
+        code.append(call if instr.dest is None
+                    else "{} = {}".format(self.dest(instr), call))
+        return code
+
+    def e_call(self, instr: ins.Call) -> list:
+        return self._call(instr, repr(instr.proc_name),
+                          [self.t(a) for a in instr.args],
+                          MachineModel.CALL_OVERHEAD)
+
+    def e_callmethod(self, instr: ins.CallMethod) -> list:
+        method = repr(instr.method_name)
+        return ["r_ = {}".format(self.t(instr.receiver)),
+                self.nil_check(instr, "r_", "method call on NIL"),
+                "m_ = r_.otype.method_impl({})".format(method),
+                "if m_ is None: raise M3RuntimeError('method {{}} unimplemented "
+                "for {{}}'.format({}, r_.otype.name))".format(method),
+                ] + self._call(instr, "m_", ["r_"] + [self.t(a) for a in instr.args],
+                               MachineModel.CALL_OVERHEAD
+                               + MachineModel.METHOD_DISPATCH_OVERHEAD)
+
+    def e_builtin(self, instr: ins.Builtin) -> list:
+        args = [self.t(a) for a in instr.args]
+        if instr.name == "ASSERT":
+            code = ["if not {}: raise M3RuntimeError({!r})".format(
+                args[0], "assertion failed at {}".format(instr.loc))]
+            if instr.dest is not None:
+                code.append("{} = None".format(self.dest(instr)))
+            return code
+        if instr.name not in _BUILTINS:  # pragma: no cover
+            return ["raise M3RuntimeError({!r})".format(
+                "unknown builtin {}".format(instr.name))]
+        value = _BUILTINS[instr.name].format(*args)
+        if instr.dest is None:
+            return [value]
+        return ["{} = {}".format(self.dest(instr), value)]
+
+    def e_typetest(self, instr: ins.TypeTest) -> list:
+        target = self.const(instr.target_type)
+        return ["x_ = {}".format(self.t(instr.src)),
+                # NIL is a member of every object type
+                "{0} = True if x_ is None else ((x_.otype is {1} or is_subtype("
+                "x_.otype, {1})) if isinstance(x_, ObjectRef) else False)".format(
+                    self.dest(instr), target)]
+
+    def e_narrow(self, instr: ins.NarrowChk) -> list:
+        return ["x_ = {}".format(self.t(instr.src)),
+                "if x_ is not None and (not isinstance(x_, ObjectRef) or (x_.otype "
+                "is not {0} and not is_subtype(x_.otype, {0}))): "
+                "raise M3RuntimeError({1!r})".format(
+                    self.const(instr.target_type),
+                    "NARROW to {} fails at {}".format(
+                        instr.target_type.name, instr.loc)),
+                "{} = x_".format(self.dest(instr))]
+
+
+_EMITTERS = {
+    ins.ConstInstr: _ProcCompiler.e_const,
+    ins.Move: _ProcCompiler.e_move,
+    ins.LoadVar: _ProcCompiler.e_loadvar,
+    ins.StoreVar: _ProcCompiler.e_storevar,
+    ins.BinOp: _ProcCompiler.e_binop,
+    ins.UnOp: _ProcCompiler.e_unop,
+    ins.LoadField: _ProcCompiler.e_loadfield,
+    ins.StoreField: _ProcCompiler.e_storefield,
+    ins.LoadElem: _ProcCompiler.e_loadelem,
+    ins.StoreElem: _ProcCompiler.e_storeelem,
+    ins.LoadDopeData: _ProcCompiler.e_loaddope_data,
+    ins.LoadDopeCount: _ProcCompiler.e_loaddope_count,
+    ins.LoadInd: _ProcCompiler.e_loadind,
+    ins.StoreInd: _ProcCompiler.e_storeind,
+    ins.AddrVar: _ProcCompiler.e_addrvar,
+    ins.AddrField: _ProcCompiler.e_addrfield,
+    ins.AddrElem: _ProcCompiler.e_addrelem,
+    ins.NewObject: _ProcCompiler.e_newobject,
+    ins.NewRecord: _ProcCompiler.e_newrecord,
+    ins.NewFixedArray: _ProcCompiler.e_newfixedarray,
+    ins.NewOpenArray: _ProcCompiler.e_newopenarray,
+    ins.Call: _ProcCompiler.e_call,
+    ins.CallMethod: _ProcCompiler.e_callmethod,
+    ins.Builtin: _ProcCompiler.e_builtin,
+    ins.TypeTest: _ProcCompiler.e_typetest,
+    ins.NarrowChk: _ProcCompiler.e_narrow,
 }

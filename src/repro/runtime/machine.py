@@ -11,7 +11,7 @@ Eliminating a redundant load therefore saves ``1 + latency`` cycles — the
 same first-order effect the paper's Figure 8 reports.
 """
 
-from typing import Optional
+from typing import Iterable, Optional, Tuple
 
 
 class CacheSim:
@@ -36,6 +36,36 @@ class CacheSim:
         self._tags[index] = line
         self.misses += 1
         return False
+
+    def replay(self, log: Iterable[int]) -> Tuple[int, int]:
+        """Touch every address of an access log in order: loads are
+        logged as ``addr``, stores as ``~addr``.  Same tags, hits and
+        misses as one :meth:`access` per entry; returns the
+        ``(hits, misses)`` of the loads alone."""
+        tags = self._tags
+        line_size = self.line_size
+        n_lines = self.n_lines
+        load_hits = load_misses = store_hits = store_misses = 0
+        for entry in log:
+            if entry >= 0:
+                line = entry // line_size
+                index = line % n_lines
+                if tags[index] == line:
+                    load_hits += 1
+                else:
+                    tags[index] = line
+                    load_misses += 1
+            else:
+                line = ~entry // line_size
+                index = line % n_lines
+                if tags[index] == line:
+                    store_hits += 1
+                else:
+                    tags[index] = line
+                    store_misses += 1
+        self.hits += load_hits + store_hits
+        self.misses += load_misses + store_misses
+        return load_hits, load_misses
 
     def reset(self) -> None:
         self._tags = [-1] * self.n_lines
@@ -72,6 +102,13 @@ class MachineModel:
 
     def store(self, addr: int) -> None:
         self.cache.access(addr)
+
+    def replay(self, log: Iterable[int]) -> None:
+        """:meth:`load` / :meth:`store` for a whole deferred access log
+        (loads ``addr``, stores ``~addr``) in one loop: identical hits,
+        misses and cycles."""
+        hits, misses = self.cache.replay(log)
+        self.cycles += hits * self.HIT_LATENCY + misses * self.MISS_LATENCY
 
     def reset(self) -> None:
         self.cycles = 0

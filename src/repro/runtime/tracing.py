@@ -9,10 +9,10 @@ the redundancy definition needs:
     "A redundant load is when two consecutive loads of the same address
      load the same value in the same procedure activation."
 
-For each activation we keep ``address -> (value, instr uid of the last
-load)``; a global per-address store clock lets the classifier distinguish
-"no store intervened" (a spurious alias kill) from "a store wrote the
-same value back".
+For each activation we keep ``address -> (value, last loading instr,
+store clock then)``; a global per-address store clock lets the classifier
+distinguish "no store intervened" (a spurious alias kill) from "a store
+wrote the same value back".
 """
 
 from typing import Callable, Dict, Optional, Tuple
@@ -33,12 +33,15 @@ class LoadStoreTracer:
             Callable[[ins.Instr, ins.Instr, bool], None]
         ] = None,
     ):
-        # (activation, address) -> (value, last loading instr)
-        self._last_load: Dict[Tuple[int, int], Tuple[object, ins.Instr]] = {}
+        # activation -> address -> (value, last loading instr, store
+        # clock of the address observed at that load)
+        self._last_load: Dict[int, Dict[int, Tuple[object, ins.Instr, int]]] = {}
         # address -> monotonically increasing store clock
         self._store_clock: Dict[int, int] = {}
-        # (activation, address) -> store clock observed at last load
-        self._load_clock: Dict[Tuple[int, int], int] = {}
+        # the activation of the previous load and its table: loads come
+        # in runs from one activation
+        self._activation: Optional[int] = None
+        self._loads: Dict[int, Tuple[object, ins.Instr, int]] = {}
         self._clock = 0
         self.on_redundant = on_redundant
 
@@ -53,19 +56,25 @@ class LoadStoreTracer:
     def on_load(self, instr: ins.Instr, addr: int, value: object, activation: int) -> None:
         self.total_loads += 1
         uid = instr.uid
-        self.loads_by_instr[uid] = self.loads_by_instr.get(uid, 0) + 1
-        key = (activation, addr)
-        previous = self._last_load.get(key)
-        if previous is not None and _same_value(previous[0], value):
+        by_instr = self.loads_by_instr
+        by_instr[uid] = by_instr.get(uid, 0) + 1
+        if activation == self._activation:
+            loads = self._loads
+        else:
+            loads = self._last_load.get(activation)
+            if loads is None:
+                loads = self._last_load[activation] = {}
+            self._activation = activation
+            self._loads = loads
+        clock = self._store_clock.get(addr, 0)
+        previous = loads.get(addr)
+        loads[addr] = (value, instr, clock)
+        if previous is not None and (
+                previous[0] is value or _same_value(previous[0], value)):
             self.redundant_loads += 1
             self.redundant_by_instr[uid] = self.redundant_by_instr.get(uid, 0) + 1
             if self.on_redundant is not None:
-                store_clock = self._store_clock.get(addr, 0)
-                seen_clock = self._load_clock.get(key, 0)
-                store_intervened = store_clock > seen_clock
-                self.on_redundant(instr, previous[1], store_intervened)
-        self._last_load[key] = (value, instr)
-        self._load_clock[key] = self._store_clock.get(addr, 0)
+                self.on_redundant(instr, previous[1], clock > previous[2])
 
     def on_store(self, instr: ins.Instr, addr: int, value: object, activation: int) -> None:
         self._clock += 1

@@ -13,10 +13,20 @@ address streams:
   dope load, the paper's "Encapsulation" effect.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.lang.symtab import Symbol
-from repro.lang.types import ArrayType, ObjectType, RecordType, RefType, Type, CHAR
+from repro.lang.types import (
+    BOOLEAN,
+    CHAR,
+    INTEGER,
+    TEXT,
+    ArrayType,
+    ObjectType,
+    RecordType,
+    RefType,
+    Type,
+)
 
 
 class M3RuntimeError(Exception):
@@ -24,6 +34,9 @@ class M3RuntimeError(Exception):
 
 
 SLOT_SIZE = 8
+
+#: A heap record's field layout: (default slot values, byte offsets).
+Layout = Tuple[Dict[str, object], Dict[str, int]]
 
 
 def element_size(element_type: Type) -> int:
@@ -52,21 +65,26 @@ class HeapAllocator:
 class ObjectRef:
     """An allocated OBJECT instance: typed slots at field offsets."""
 
-    __slots__ = ("otype", "slots", "addr", "_offsets")
+    __slots__ = ("otype", "slots", "addr", "offsets")
 
-    def __init__(self, otype: ObjectType, addr: int):
+    def __init__(self, otype: ObjectType, addr: int, layout: Optional["Layout"] = None):
+        defaults, offsets = layout or ObjectRef.layout(otype)
         self.otype = otype
         self.addr = addr
+        self.slots: Dict[str, object] = defaults.copy()
+        #: field name -> byte offset from ``addr`` (shared, never mutated)
+        self.offsets = offsets
+
+    @staticmethod
+    def layout(otype: ObjectType) -> "Layout":
+        """Default slot values and byte offsets of *otype*'s fields;
+        pass it to the constructor to allocate without recomputing."""
         fields = otype.all_fields()
-        self.slots: Dict[str, object] = {
-            name: default_value(ftype) for name, ftype in fields
-        }
-        self._offsets: Dict[str, int] = {
-            name: i * SLOT_SIZE for i, (name, _) in enumerate(fields)
-        }
+        return ({name: default_value(ftype) for name, ftype in fields},
+                {name: i * SLOT_SIZE for i, (name, _) in enumerate(fields)})
 
     def field_addr(self, field: str) -> int:
-        return self.addr + self._offsets[field]
+        return self.addr + self.offsets[field]
 
     @staticmethod
     def size_of(otype: ObjectType) -> int:
@@ -79,25 +97,29 @@ class ObjectRef:
 class RecordRef:
     """A ``REF RECORD`` referent, or a scalar REF cell (one ``$value`` slot)."""
 
-    __slots__ = ("rtype", "slots", "addr", "_offsets")
+    __slots__ = ("rtype", "slots", "addr", "offsets")
 
     SCALAR_SLOT = "$value"
 
-    def __init__(self, ref_type: RefType, addr: int):
+    def __init__(self, ref_type: RefType, addr: int, layout: Optional["Layout"] = None):
+        defaults, offsets = layout or RecordRef.layout(ref_type)
         self.rtype = ref_type
         self.addr = addr
+        self.slots: Dict[str, object] = defaults.copy()
+        #: field name -> byte offset from ``addr`` (shared, never mutated)
+        self.offsets = offsets
+
+    @staticmethod
+    def layout(ref_type: RefType) -> "Layout":
+        """Default slot values and byte offsets of the referent."""
         target = ref_type.target
         if isinstance(target, RecordType):
-            self.slots = {name: default_value(t) for name, t in target.fields}
-            self._offsets = {
-                name: i * SLOT_SIZE for i, (name, _) in enumerate(target.fields)
-            }
-        else:
-            self.slots = {self.SCALAR_SLOT: default_value(target)}
-            self._offsets = {self.SCALAR_SLOT: 0}
+            return ({name: default_value(t) for name, t in target.fields},
+                    {name: i * SLOT_SIZE for i, (name, _) in enumerate(target.fields)})
+        return {RecordRef.SCALAR_SLOT: default_value(target)}, {RecordRef.SCALAR_SLOT: 0}
 
     def field_addr(self, field: str) -> int:
-        return self.addr + self._offsets[field]
+        return self.addr + self.offsets[field]
 
     @staticmethod
     def size_of(ref_type: RefType) -> int:
@@ -113,16 +135,16 @@ class RecordRef:
 class ArrayRef:
     """A heap array (fixed-size referent, or the data part of an open array)."""
 
-    __slots__ = ("element_type", "data", "addr", "_esize")
+    __slots__ = ("element_type", "data", "addr", "esize")
 
     def __init__(self, element_type: Type, length: int, addr: int):
         self.element_type = element_type
         self.data: List[object] = [default_value(element_type)] * length
         self.addr = addr
-        self._esize = element_size(element_type)
+        self.esize = element_size(element_type)
 
     def elem_addr(self, index: int) -> int:
-        return self.addr + index * self._esize
+        return self.addr + index * self.esize
 
     def check_index(self, index: int) -> None:
         if not isinstance(index, int) or index < 0 or index >= len(self.data):
@@ -210,14 +232,12 @@ class ElemLoc:
 
 def default_value(t: Type) -> object:
     """Modula-3-style defaults: 0 / FALSE / NUL / empty text / NIL."""
-    from repro.lang import types as ty
-
-    if t is ty.INTEGER:
+    if t is INTEGER:
         return 0
-    if t is ty.BOOLEAN:
+    if t is BOOLEAN:
         return False
-    if t is ty.CHAR:
+    if t is CHAR:
         return "\0"
-    if t is ty.TEXT:
+    if t is TEXT:
         return ""
     return None

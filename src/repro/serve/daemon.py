@@ -34,12 +34,13 @@ response (kind ``differential``), because a disagreeing daemon should
 say so loudly rather than die silently.
 """
 
+import contextlib
 import json
 import threading
 import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro import CompileError, __version__
@@ -426,79 +427,29 @@ class Daemon:
 
     def start_http(self, port: int = 0) -> int:
         """Start the localhost HTTP shim; returns the bound port."""
-        daemon = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def log_message(self, *args):  # quiet by default
-                pass
-
-            def _reply(self, status: int, payload) -> None:
-                body = json.dumps(payload, sort_keys=True).encode()
-                self._raw_reply(status, body, "application/json")
-
-            def _raw_reply(self, status: int, body: bytes,
-                           content_type: str) -> None:
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_GET(self):
-                parsed = urlparse(self.path)
-                if parsed.path == "/v1/ping":
-                    self._reply(200, daemon.handle_request(
-                        protocol.Request(op="ping")))
-                elif parsed.path == "/v1/stats":
-                    self._reply(200, daemon.handle_request(
-                        protocol.Request(op="stats")))
-                elif parsed.path == "/v1/metrics":
-                    self._raw_reply(
-                        200, daemon.metrics_text().encode("utf-8"),
-                        "text/plain; version=0.0.4; charset=utf-8")
-                elif parsed.path == "/v1/requests":
-                    limit = None
-                    raw = parse_qs(parsed.query).get("limit")
-                    if raw:
-                        try:
-                            limit = max(0, int(raw[0]))
-                        except ValueError:
-                            limit = None
-                    self._reply(200, daemon.journal.snapshot(limit))
-                elif parsed.path == "/v1/traces":
-                    self._reply(*daemon.traces_payload(
-                        parse_qs(parsed.query)))
-                else:
-                    self._reply(404, {"ok": False, "error": {
-                        "kind": "http", "message": "unknown path"}})
-
-            def do_POST(self):
-                if self.path != "/v1/query":
-                    self._reply(404, {"ok": False, "error": {
-                        "kind": "http", "message": "unknown path"}})
-                    return
-                length = int(self.headers.get("Content-Length") or 0)
-                body = self.rfile.read(length).decode("utf-8", "replace")
-                try:
-                    parsed = protocol.parse_line(body)
-                except protocol.ProtocolError as err:
-                    self._reply(400, protocol.error_response(
-                        None, "protocol", str(err)))
-                    return
-                if isinstance(parsed, list):
-                    self._reply(200, [daemon.handle_request(r)
-                                      for r in parsed])
-                else:
-                    self._reply(200, daemon.handle_request(parsed))
-
-        self._http_server = ThreadingHTTPServer(("127.0.0.1", port), Handler)
+        self._http_server = ThreadingHTTPServer(("127.0.0.1", port),
+                                                _HTTPHandler)
+        self._http_server.serve_daemon = self
         self._http_thread = threading.Thread(
             target=self._http_server.serve_forever, daemon=True,
             name="repro-serve-http")
         self._http_thread.start()
         return self._http_server.server_address[1]
+
+    @contextlib.contextmanager
+    def in_flight(self) -> Iterator[None]:
+        """Count the enclosed work as in flight, so :meth:`drain` waits
+        for it.  The HTTP handler holds this from request to written
+        reply: an answer (``shutdown``'s included) is never cut off by
+        the process exiting after a drain."""
+        with self._inflight_cond:
+            self._inflight += 1
+        try:
+            yield
+        finally:
+            with self._inflight_cond:
+                self._inflight -= 1
+                self._inflight_cond.notify_all()
 
     def stop_http(self) -> None:
         if self._http_server is not None:
@@ -540,3 +491,72 @@ class Daemon:
             self.manager.store.flush()
         self.stop_http()
         return drained
+
+
+class _HTTPHandler(BaseHTTPRequestHandler):
+    """``/v1/*`` over HTTP/1.1 for the :class:`Daemon` the server carries."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args):  # quiet by default
+        pass
+
+    def _reply(self, status: int, payload) -> None:
+        body = json.dumps(payload, sort_keys=True).encode()
+        self._raw_reply(status, body, "application/json")
+
+    def _raw_reply(self, status: int, body: bytes, content_type: str) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        daemon = self.server.serve_daemon
+        with daemon.in_flight():
+            parsed = urlparse(self.path)
+            if parsed.path == "/v1/ping":
+                self._reply(200, daemon.handle_request(
+                    protocol.Request(op="ping")))
+            elif parsed.path == "/v1/stats":
+                self._reply(200, daemon.handle_request(
+                    protocol.Request(op="stats")))
+            elif parsed.path == "/v1/metrics":
+                self._raw_reply(
+                    200, daemon.metrics_text().encode("utf-8"),
+                    "text/plain; version=0.0.4; charset=utf-8")
+            elif parsed.path == "/v1/requests":
+                limit = None
+                raw = parse_qs(parsed.query).get("limit")
+                if raw:
+                    try:
+                        limit = max(0, int(raw[0]))
+                    except ValueError:
+                        limit = None
+                self._reply(200, daemon.journal.snapshot(limit))
+            elif parsed.path == "/v1/traces":
+                self._reply(*daemon.traces_payload(parse_qs(parsed.query)))
+            else:
+                self._reply(404, {"ok": False, "error": {
+                    "kind": "http", "message": "unknown path"}})
+
+    def do_POST(self):
+        daemon = self.server.serve_daemon
+        with daemon.in_flight():
+            if self.path != "/v1/query":
+                self._reply(404, {"ok": False, "error": {
+                    "kind": "http", "message": "unknown path"}})
+                return
+            length = int(self.headers.get("Content-Length") or 0)
+            body = self.rfile.read(length).decode("utf-8", "replace")
+            try:
+                parsed = protocol.parse_line(body)
+            except protocol.ProtocolError as err:
+                self._reply(400, protocol.error_response(
+                    None, "protocol", str(err)))
+                return
+            if isinstance(parsed, list):
+                self._reply(200, [daemon.handle_request(r) for r in parsed])
+            else:
+                self._reply(200, daemon.handle_request(parsed))

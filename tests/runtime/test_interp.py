@@ -264,3 +264,60 @@ class TestCounters:
         decls = "PROCEDURE P () = BEGIN END P;"
         stats = run("P (); P ();", decls)
         assert stats.calls == 3  # main + 2
+
+
+class TestSpeculativeLoads:
+    """Loads the hoister re-materialises never trap: a NIL base or a bad
+    index yields a junk default and counts no heap load."""
+
+    DECLS = """
+    TYPE T = OBJECT n: INTEGER; END; B = REF ARRAY OF INTEGER; C = REF INTEGER;
+    VAR t: T; b: B; c: C; x: INTEGER;
+    """
+
+    def speculate(self, body, kinds):
+        from repro.ir import instructions as ins
+
+        program = compile_program(
+            "MODULE M; {} BEGIN {} END M.".format(self.DECLS, body))
+        ir = program.base().program
+        marked = 0
+        for instr in ir.main.all_instrs():
+            if isinstance(instr, tuple(getattr(ins, k) for k in kinds)):
+                instr.speculative = True
+                marked += 1
+        assert marked == len(kinds)
+        return Interpreter(ir, machine=MachineModel()).run()
+
+    def test_field_load_with_nil_base(self):
+        stats = self.speculate("x := t.n; PutText (\"ok\");", ["LoadField"])
+        assert stats.output_text() == "ok"
+        assert stats.heap_loads == 0
+
+    def test_element_load_with_nil_array(self):
+        stats = self.speculate(
+            "x := b^[1]; PutText (\"ok\");", ["LoadDopeData", "LoadElem"])
+        assert stats.output_text() == "ok"
+        assert stats.heap_loads == 0
+
+    def test_element_load_out_of_range(self):
+        stats = self.speculate(
+            "b := NEW (B, 2); x := b^[5]; PutText (\"ok\");", ["LoadElem"])
+        assert stats.output_text() == "ok"
+        assert stats.heap_loads == 1  # the dope load; the element load yields junk
+
+    def test_element_load_negative_index(self):
+        stats = self.speculate(
+            "b := NEW (B, 2); x := b^[-1]; PutText (\"ok\");", ["LoadElem"])
+        assert stats.output_text() == "ok"
+        assert stats.heap_loads == 1
+
+    def test_count_load_with_nil_base_is_zero(self):
+        stats = self.speculate("PutInt (NUMBER (b^));", ["LoadDopeCount"])
+        assert stats.output_text() == "0"
+        assert stats.heap_loads == 0
+
+    def test_indirect_load_with_nil_handle(self):
+        stats = self.speculate("x := c^; PutText (\"ok\");", ["LoadInd"])
+        assert stats.output_text() == "ok"
+        assert stats.heap_loads == 0

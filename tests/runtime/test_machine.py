@@ -62,3 +62,24 @@ class TestMachineModel:
         m.load(0)
         m.reset()
         assert m.cycles == 0
+
+    def test_replay_matches_eager_loads_and_stores(self):
+        import random
+
+        rng = random.Random(7)
+        # Addresses over 4x the cache so lines conflict and get evicted;
+        # logged loads are ``addr``, logged stores ``~addr``.
+        log = [addr if rng.random() < 0.7 else ~addr
+               for addr in (rng.randrange(0, 4 * 1024) for _ in range(5000))]
+        eager = MachineModel(CacheSim(size=1024, line_size=32))
+        for entry in log:
+            if entry >= 0:
+                eager.load(entry)
+            else:
+                eager.store(~entry)
+        replayed = MachineModel(CacheSim(size=1024, line_size=32))
+        replayed.replay(log)
+        assert (replayed.cache.hits, replayed.cache.misses, replayed.cycles) == (
+            eager.cache.hits, eager.cache.misses, eager.cycles)
+        assert eager.cache.hits and eager.cache.misses
+        assert replayed.cache._tags == eager.cache._tags

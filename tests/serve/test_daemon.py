@@ -1,6 +1,9 @@
 """Daemon dispatch and transports: batches, errors, differential pinning."""
 
 import json
+import socket
+import threading
+import time
 
 import pytest
 
@@ -160,3 +163,45 @@ def test_limit_and_facts_ops(daemon):
     assert summary["procedures"] >= 2
     assert summary["object_types"] >= 2
     assert summary["steensgaard_classes"] >= 1
+
+
+def test_http_shutdown_answer_is_complete_before_drain_returns(daemon, monkeypatch):
+    """``repro serve`` exits as soon as ``drain`` returns, killing the
+    daemonic handler threads; so the ``shutdown`` answer must be fully
+    written by then, however slowly the handler writes it."""
+    from repro.serve import daemon as daemon_module
+
+    handler_class = daemon_module._HTTPHandler
+    original = handler_class._reply
+    written = threading.Event()
+    connections = []
+
+    def slow_reply(self, status, payload):
+        connections.append(self.connection)
+        # Longer than stopping the HTTP server takes (it polls at 0.5s).
+        time.sleep(1.0)
+        original(self, status, payload)
+        written.set()
+
+    monkeypatch.setattr(handler_class, "_reply", slow_reply)
+    port = daemon.start_http()
+    written_at_exit = []
+
+    def serve_main():
+        # The tail of `repro serve`: wait for shutdown, drain, exit.
+        daemon.shutdown_event.wait(10.0)
+        daemon.drain(timeout=10.0)
+        written_at_exit.append(written.is_set())
+        for connection in connections:  # process exit severs them
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+    main = threading.Thread(target=serve_main, daemon=True)
+    main.start()
+    response = HttpClient(port).query({"op": "shutdown", "id": "bye"})
+    main.join(10.0)
+    assert written_at_exit == [True]
+    assert response["ok"] and response["result"] == {"stopping": True}
+    assert response["id"] == "bye"
