@@ -139,7 +139,10 @@ profile-smoke:
 		benchmarks/results/profile-smoke/m3cg.jsonl \
 		benchmarks/results/profile-smoke/slisp.jsonl
 
+# Generated output only: benchmarks/results also holds the tracked
+# reference tables.
 clean:
-	rm -rf .pytest_cache .hypothesis benchmarks/results \
+	rm -rf .pytest_cache .hypothesis benchmarks/results/fuzz-smoke \
+		$(CORPUS_SMOKE_DIR) benchmarks/results/profile-smoke \
 		src/repro.egg-info test_output.txt bench_output.txt
 	find . -name __pycache__ -type d -exec rm -rf {} +

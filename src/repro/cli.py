@@ -527,7 +527,6 @@ def cmd_serve(args) -> int:
                     slo_ms=args.slo_ms, slow_ms=args.slow_ms,
                     access_log_path=args.access_log,
                     access_log_sample=args.access_log_sample,
-                    journal_size=args.journal_size,
                     sampler=HeadSampler(args.trace_sample_rate),
                     trace_store=(TraceStore(trace_store_dir)
                                  if trace_store_dir else None))
@@ -1418,9 +1417,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(off unless given)")
     p.add_argument("--access-log-sample", type=int, default=1, metavar="N",
                    help="log every Nth slow request (default 1 = all)")
-    p.add_argument("--journal-size", type=int, default=256, metavar="N",
-                   help="recent-request journal ring capacity "
-                   "(GET /v1/requests; default 256)")
     p.add_argument("--trace-sample-rate", type=float,
                    default=SERVE_SAMPLE_RATE, metavar="R",
                    help="always-on head-sampling rate in [0, 1]: each "
@@ -1507,9 +1503,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="live terminal dashboard over a serving daemon",
         description="Poll a daemon's /v1/metrics, /v1/requests and "
         "/v1/ping endpoints and render throughput, per-op latency "
-        "quantiles (streaming P2 gauges), SLO ok/breach counts, cache "
-        "hit rates, degraded/draining state and the slowest recent "
-        "traces.  --once renders a single frame and exits (the CI "
+        "quantiles (exact over the daemon's trailing hour), SLO ok/breach "
+        "counts and burn rates, cache hit rates, degraded/draining state "
+        "and the slowest recent traces.  --once renders a single frame and exits (the CI "
         "mode); live mode refreshes every --interval seconds until "
         "Ctrl-C.",
     )

@@ -71,18 +71,21 @@ class ProcIR:
 
     def blocks(self) -> List[BasicBlock]:
         """All reachable blocks in reverse-postorder from the entry."""
+        # Explicit-stack DFS: a CFG may be deeper than Python's
+        # recursion limit (one block per sequential IF).
         order: List[BasicBlock] = []
-        seen: Set[int] = set()
-
-        def visit(block: BasicBlock) -> None:
-            if id(block) in seen:
-                return
-            seen.add(id(block))
-            for succ in block.successors():
-                visit(succ)
-            order.append(block)
-
-        visit(self.entry)
+        seen: Set[int] = {id(self.entry)}
+        stack = [(self.entry, iter(self.entry.successors()))]
+        while stack:
+            block, succs = stack[-1]
+            for succ in succs:
+                if id(succ) not in seen:
+                    seen.add(id(succ))
+                    stack.append((succ, iter(succ.successors())))
+                    break
+            else:
+                stack.pop()
+                order.append(block)
         order.reverse()
         return order
 

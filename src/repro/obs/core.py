@@ -236,7 +236,7 @@ class Span:
             "start_ms": round((self.start - epoch) * 1000.0, 3),
             "duration_ms": round(self.duration * 1000.0, 6),
             "thread": self.thread,
-            "attrs": {k: _jsonable(v) for k, v in self.attrs.items()},
+            "attrs": {k: jsonable(v) for k, v in self.attrs.items()},
             "error": self.error,
         }
         # Additive: only request-scoped spans carry a trace id, so the
@@ -249,7 +249,8 @@ class Span:
         return "<Span {} {:.3f}ms>".format(self.name, self.duration * 1000.0)
 
 
-def _jsonable(value):
+def jsonable(value):
+    """*value* itself if JSON has a scalar for it, else its ``str``."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)

@@ -72,18 +72,7 @@ def host_fingerprint() -> Dict[str, object]:
 
 def git_sha(cwd: Optional[str] = None) -> Optional[str]:
     """The HEAD commit sha, or ``None`` outside a git checkout."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            cwd=cwd, timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    if proc.returncode != 0:
-        return None
-    sha = proc.stdout.decode("ascii", "replace").strip()
-    return sha or None
+    return resolve_ref("HEAD", cwd)
 
 
 def resolve_ref(ref: str, cwd: Optional[str] = None) -> Optional[str]:

@@ -1,11 +1,12 @@
 """``repro top`` — a live terminal dashboard over a serving daemon.
 
 Polls ``GET /v1/metrics`` (Prometheus text), ``GET /v1/requests`` (the
-recent-request journal) and ``GET /v1/ping`` on an interval and renders
-one frame per poll: daemon state (degraded / draining), request
-throughput (total and the delta-rate between polls), per-op latency
-quantiles from the daemon's streaming P² gauges, SLO ok/breach counts,
-session/fact-cache hit rates, and the slowest recent traces.
+newest entries of the daemon's request ring) and ``GET /v1/ping`` on an
+interval and renders one frame per poll: daemon state (degraded /
+draining), request throughput (total and the delta-rate between polls),
+per-op latency quantiles (exact over the daemon's trailing hour), SLO
+ok/breach counts and burn rates, session/fact-cache hit rates, and the
+slowest recent traces.
 
 ``--once`` fetches and renders exactly one frame and exits 0 — the CI
 mode ``make obs-smoke`` drives.  The live mode clears the screen with
@@ -199,7 +200,7 @@ def render_frame(snapshot: Snapshot,
                                         sampled, flushed))
     lines.append("")
 
-    # Per-op latency + SLO table from the P² gauges.
+    # Per-op latency + SLO table from the quantile gauges.
     counts = _by_label(samples, "repro_serve_request_total", "op")
     p50 = _by_label(samples, "repro_serve_request_ms_p50", "op")
     p95 = _by_label(samples, "repro_serve_request_ms_p95", "op")

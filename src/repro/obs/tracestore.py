@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.obs import metrics
+from repro.obs.core import jsonable
 from repro.obs.reqlog import now as wall_now
 from repro.obs.sampler import proc_id
 
@@ -89,15 +90,9 @@ def make_record(scope, origin: str, op: str, ms: float, ok: bool,
         "ts": wall_now(),
         "parent": parent,
         "spans": scope.tree(),
-        "notes": {k: _jsonable(v) for k, v in scope.notes.items()},
+        "notes": {k: jsonable(v) for k, v in scope.notes.items()},
         "dropped": scope.dropped,
     }
-
-
-def _jsonable(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
 
 
 def validate_trace_record(obj: object) -> None:

@@ -119,6 +119,9 @@ def run_serve_bench(names: Optional[List[str]] = None,
         "warm_qps": round(warm_qps, 1),
         "speedup": round(warm_qps / max(cold_qps, 1e-9), 2),
     }
+    # The daemon's latency and burn gauges are computed on read; set
+    # them so an exposition of this run (BENCH_obs.prom) carries them.
+    daemon.requests.publish()
     gauge = metrics.registry().gauge
     gauge("serve.bench.speedup").set(result["speedup"])
     gauge("serve.bench.warm_qps").set(result["warm_qps"])

@@ -10,8 +10,9 @@ dispatch into one :class:`Daemon`:
   (never a public interface) accepting ``POST /v1/query`` with the same
   JSON payloads, plus ``GET /v1/ping``, ``GET /v1/stats``, ``GET
   /v1/metrics`` (live registry in Prometheus text format) and ``GET
-  /v1/requests`` (the recent-request journal).  The port is OS-assigned
-  by default and printed/returned so clients can find it.
+  /v1/requests`` (the newest entries of the request ring).  The port
+  is OS-assigned by default and printed/returned so clients can find
+  it.
 
 Observability (DESIGN.md §6j): every request gets a ``trace_id``
 (client-supplied or daemon-minted), runs inside a thread-local
@@ -19,12 +20,15 @@ Observability (DESIGN.md §6j): every request gets a ``trace_id``
 id, and echoes it back in the response — ok *and* error.  ``debug:
 true`` requests additionally return their own span tree inline.  Every
 request bumps ``serve.request.total`` (and ``.errors`` on failure),
-lands its wall time in the ``serve.request.ms`` latency histogram, the
-per-op P² quantile gauges (``serve.request.ms.p50/p95/p99``) and the
-SLO counters (``serve.slo.ok``/``.breach`` against ``--slo-ms``), and
-is journalled into a bounded ring served by ``/v1/requests``; requests
-slower than ``--slow-ms`` are sampled into a JSONL access log.
-``stats`` exposes the same numbers over the wire.
+lands its wall time in the ``serve.request.ms`` latency histogram and
+the SLO counters (``serve.slo.ok``/``.breach`` against ``--slo-ms``),
+and appends one record to the daemon's request ring
+(:class:`repro.obs.reqlog.RequestRing`); requests slower than
+``--slow-ms`` are sampled into a JSONL access log.  That is all the
+request path does: ``/v1/requests`` lists the ring, and the windowed
+numbers (``stats``' ``slo_burn``, the burn-rate gauges and the per-op
+``serve.request.ms.p50/p95/p99`` gauges that ``/v1/metrics`` serves)
+are computed from its records when read.
 
 Failures are answers, not crashes: protocol errors, compile errors and
 analysis errors each map to a typed error response and the daemon keeps
@@ -47,18 +51,10 @@ from repro import CompileError, __version__
 from repro.lang.errors import ResourceLimitError
 from repro.obs import core as obs
 from repro.obs import metrics, promtext
-from repro.obs.burn import BurnTracker
-from repro.obs.quantile import QuantileSet
-from repro.obs.reqlog import (
-    DEFAULT_JOURNAL_SIZE,
-    AccessLog,
-    RequestJournal,
-    RequestRecord,
-)
+from repro.obs.reqlog import AccessLog, RequestRing
 from repro.obs.sampler import DEFAULT_SAMPLE_RATE, HeadSampler
 from repro.obs.tracestore import TraceStore, make_record
 from repro.obs.traceview import summarize_traces
-from repro.obs.reqlog import now as wall_now
 from repro.qa import chaos, guards
 from repro.serve import protocol
 from repro.serve.session import DifferentialMismatch, SessionManager
@@ -81,9 +77,12 @@ METRIC_HELP = {
     "serve.request.total": "Requests received, by op.",
     "serve.request.errors": "Requests answered with a typed error, by op.",
     "serve.request.ms": "Request wall time in milliseconds, by op.",
-    "serve.request.ms.p50": "Streaming P2 median request latency (ms).",
-    "serve.request.ms.p95": "Streaming P2 95th-percentile latency (ms).",
-    "serve.request.ms.p99": "Streaming P2 99th-percentile latency (ms).",
+    "serve.request.ms.p50": "Median request latency over the trailing "
+                            "hour (ms), by op.",
+    "serve.request.ms.p95": "95th-percentile request latency over the "
+                            "trailing hour (ms), by op.",
+    "serve.request.ms.p99": "99th-percentile request latency over the "
+                            "trailing hour (ms), by op.",
     "serve.slo.ok": "Requests within the --slo-ms objective, by op.",
     "serve.slo.breach": "Requests over the --slo-ms objective, by op.",
     "serve.slo.burn_rate_5m": "Fraction of requests breaching the SLO "
@@ -109,7 +108,6 @@ class Daemon:
                  slow_ms: Optional[float] = None,
                  access_log_path: Optional[str] = None,
                  access_log_sample: int = 1,
-                 journal_size: int = DEFAULT_JOURNAL_SIZE,
                  sampler: Optional[HeadSampler] = None,
                  trace_store: Optional[TraceStore] = None):
         self.manager = manager
@@ -124,14 +122,13 @@ class Daemon:
         #: Sampled traces flush here; ``None`` samples without storing
         #: (the coin still decides span collection, nothing persists).
         self.trace_store = trace_store
-        #: Sliding-window SLO burn rates + exemplars (DESIGN.md §6k).
-        self.burn = BurnTracker(slo_ms)
         self.shutdown_event = threading.Event()
         #: Draining daemons answer ping/stats/shutdown but reject new
         #: analysis work with a typed ``unavailable`` error.
         self.draining = False
-        #: Ring of recent requests, served by ``GET /v1/requests``.
-        self.journal = RequestJournal(journal_size)
+        #: Every request's outcome: ``GET /v1/requests``, the SLO burn
+        #: windows and the latency gauges (DESIGN.md §6k).
+        self.requests = RequestRing(slo_ms)
         #: Sampled JSONL log of slow requests; None when not configured.
         self.access_log: Optional[AccessLog] = None
         if access_log_path is not None:
@@ -139,8 +136,6 @@ class Daemon:
                 access_log_path,
                 slow_ms if slow_ms is not None else slo_ms,
                 sample=access_log_sample)
-        self._quantiles: Dict[str, QuantileSet] = {}
-        self._quantiles_lock = threading.Lock()
         self._inflight = 0
         self._inflight_cond = threading.Condition()
         self._http_server: Optional[ThreadingHTTPServer] = None
@@ -176,7 +171,7 @@ class Daemon:
                     request.id, "unavailable",
                     "daemon is draining and accepts no new analysis work",
                     trace_id=trace_id)
-                self._journal(request, trace_id, 0.0, response, cache=None)
+                self._record(request, trace_id, 0.0, response, cache=None)
                 return response
             self._inflight += 1
         start = time.perf_counter()
@@ -228,17 +223,16 @@ class Daemon:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         registry.histogram("serve.request.ms", buckets=LATENCY_BUCKETS_MS,
                            op=request.op).observe(elapsed_ms)
-        self._observe_latency(request.op, elapsed_ms)
-        self.burn.observe(elapsed_ms, ok=bool(response.get("ok")),
-                          trace_id=trace_id)
+        registry.counter("serve.slo.ok" if elapsed_ms <= self.slo_ms
+                         else "serve.slo.breach", op=request.op).inc()
         if request.debug:
             response["spans"] = scope.tree()
         if sampled and self.trace_store is not None:
             self.trace_store.append(make_record(
                 scope, origin="daemon", op=request.op, ms=elapsed_ms,
                 ok=bool(response.get("ok")), unit=request.name))
-        self._journal(request, trace_id, elapsed_ms, response,
-                      cache=scope.notes.get("cache"))
+        self._record(request, trace_id, elapsed_ms, response,
+                     cache=scope.notes.get("cache"))
         return response
 
     def _error(self, request: protocol.Request, kind: str,
@@ -249,46 +243,22 @@ class Daemon:
 
     # -- per-request accounting -----------------------------------------
 
-    def _observe_latency(self, op: str, elapsed_ms: float) -> None:
-        """Feed the P² quantile gauges and SLO counters for one request."""
-        registry = metrics.registry()
-        quantiles = self._quantiles.get(op)
-        if quantiles is None:
-            with self._quantiles_lock:
-                quantiles = self._quantiles.setdefault(op, QuantileSet())
-        quantiles.observe(elapsed_ms)
-        for q, estimate in quantiles.snapshot().items():
-            if estimate is not None:
-                registry.gauge(
-                    "serve.request.ms.p{}".format(int(round(q * 100.0))),
-                    op=op).set(round(estimate, 3))
-        if elapsed_ms <= self.slo_ms:
-            registry.counter("serve.slo.ok", op=op).inc()
-        else:
-            registry.counter("serve.slo.breach", op=op).inc()
-
-    def _journal(self, request: protocol.Request, trace_id: str,
-                 elapsed_ms: float, response: dict,
-                 cache: Optional[str]) -> None:
-        """Ring-journal one finished request; tee slow ones to the log."""
+    def _record(self, request: protocol.Request, trace_id: str,
+                elapsed_ms: float, response: dict,
+                cache: Optional[str]) -> None:
+        """Ring-record one finished request; tee slow ones to the log."""
         ok = bool(response.get("ok"))
         error = response.get("error") or {}
-        record = RequestRecord(
-            op=request.op,
-            trace_id=trace_id,
-            unit=request.name,
-            ms=elapsed_ms,
-            ok=ok,
-            error_kind=None if ok else error.get("kind"),
-            cache=cache,
-            ts=wall_now(),
-        )
-        self.journal.record(record)
+        record = self.requests.observe(
+            elapsed_ms, ok=ok, trace_id=trace_id, op=request.op,
+            unit=request.name, error_kind=None if ok else error.get("kind"),
+            cache=cache)
         if self.access_log is not None:
             self.access_log.maybe_log(record)
 
     def metrics_text(self) -> str:
         """The live registry as Prometheus exposition (``/v1/metrics``)."""
+        self.requests.publish()
         return promtext.render(help_texts=METRIC_HELP)
 
     def traces_payload(self, query: Dict[str, list]) -> tuple:
@@ -335,8 +305,8 @@ class Daemon:
             stats = self.manager.stats()
             stats["draining"] = self.draining
             stats["slo_ms"] = self.slo_ms
-            stats["journal_total"] = self.journal.total
-            stats["slo_burn"] = self.burn.snapshot()
+            stats["journal_total"] = self.requests.total
+            stats["slo_burn"] = self.requests.burn()
             if self.trace_store is not None:
                 stats["trace_store"] = self.trace_store.stats()
             # Visible across process boundaries: the cross-process chaos
@@ -534,7 +504,7 @@ class _HTTPHandler(BaseHTTPRequestHandler):
                         limit = max(0, int(raw[0]))
                     except ValueError:
                         limit = None
-                self._reply(200, daemon.journal.snapshot(limit))
+                self._reply(200, daemon.requests.snapshot(limit))
             elif parsed.path == "/v1/traces":
                 self._reply(*daemon.traces_payload(parse_qs(parsed.query)))
             else:

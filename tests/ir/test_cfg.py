@@ -75,3 +75,45 @@ def test_program_all_instrs_spans_procs():
     uids = [i.uid for i in program.all_instrs()]
     assert len(uids) == len(set(uids))
     assert program.proc_order == ["P", "<main>"]
+
+
+def _recursive_rpo(proc):
+    """The textbook recursive reverse postorder, as a reference."""
+    order, seen = [], set()
+
+    def visit(block):
+        if id(block) in seen:
+            return
+        seen.add(id(block))
+        for succ in block.successors():
+            visit(succ)
+        order.append(block)
+
+    visit(proc.entry)
+    return order[::-1]
+
+
+def test_blocks_is_the_recursive_reverse_postorder():
+    from repro import compile_program
+    from repro.bench import registry
+
+    for name in ("slisp", "m3cg"):
+        program = compile_program(registry.load_source(name), unit=name)
+        for proc in program.base().program.procs.values():
+            assert proc.blocks() == _recursive_rpo(proc), (name, proc.name)
+
+
+def test_deep_cfg_runs_the_whole_pipeline():
+    # 1000 sequential IFs make a CFG deeper than Python's default
+    # recursion limit: every pass that walks blocks() must still work.
+    from repro import compile_program
+
+    body = "".join("IF x > {0} THEN x := x - 1; END;\n".format(i)
+                   for i in range(1000))
+    program = compile_program(
+        "MODULE Deep; VAR x: INTEGER; BEGIN x := 2000;\n"
+        + body + "END Deep.", unit="deep")
+    program.base()
+    optimized = program.optimize()
+    assert program.run(optimized).instructions > 0
+    program.limit_study()

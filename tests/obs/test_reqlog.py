@@ -1,4 +1,4 @@
-"""Request journal ring + sampled slow-request access log."""
+"""Request ring listing + sampled slow-request access log."""
 
 import json
 
@@ -8,8 +8,8 @@ from repro.obs import metrics
 from repro.obs.reqlog import (
     ACCESS_LOG_KEYS,
     AccessLog,
-    RequestJournal,
     RequestRecord,
+    RequestRing,
     validate_access_line,
 )
 
@@ -24,7 +24,8 @@ def _clean_registry():
 def make_record(op="alias", trace="t-1", ms=1.5, ok=True, error=None,
                 cache="hit", ts=1000.0):
     return RequestRecord(op=op, trace_id=trace, unit="smoke", ms=ms,
-                        ok=ok, error_kind=error, cache=cache, ts=ts)
+                         ok=ok, error_kind=error, cache=cache, ts=ts,
+                         t=0.0)
 
 
 def test_record_json_schema_matches_access_log_keys():
@@ -33,19 +34,21 @@ def test_record_json_schema_matches_access_log_keys():
 
 
 def test_journal_is_a_bounded_newest_first_ring():
-    journal = RequestJournal(size=3)
+    ring = RequestRing(100.0, size=3)
     for i in range(5):
-        journal.record(make_record(trace="t-{}".format(i)))
-    assert journal.total == 5  # evictions still counted
-    recent = journal.recent()
-    assert [r.trace_id for r in recent] == ["t-4", "t-3", "t-2"]
-    assert [r.trace_id for r in journal.recent(limit=1)] == ["t-4"]
+        ring.observe(1.5, trace_id="t-{}".format(i))
+    snap = ring.snapshot()
+    assert snap["total"] == 5  # evictions still counted
+    assert [r["trace"] for r in snap["requests"]] == ["t-4", "t-3", "t-2"]
+    assert [r["trace"] for r in ring.snapshot(limit=1)["requests"]] == \
+        ["t-4"]
 
 
 def test_journal_snapshot_payload():
-    journal = RequestJournal(size=8)
-    journal.record(make_record(ok=False, error="compile", cache=None))
-    snap = journal.snapshot()
+    ring = RequestRing(100.0, size=8)
+    ring.observe(1.5, ok=False, trace_id="t-1", op="alias",
+                 error_kind="compile")
+    snap = ring.snapshot()
     assert snap["total"] == 1
     (entry,) = snap["requests"]
     assert entry["error"] == "compile"

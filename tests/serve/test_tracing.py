@@ -187,6 +187,47 @@ def test_requests_endpoint_respects_limit(daemon):
     assert len(snapshot["requests"]) == 2
 
 
+def test_requests_endpoint_is_newest_first_and_capped(tmp_path):
+    metrics.registry().reset()
+    daemon = Daemon(SessionManager(store=None))
+    for i in range(300):
+        assert daemon.handle_request(protocol.Request.from_obj(
+            {"op": "ping", "trace_id": "t-{}".format(i)}))["ok"]
+    port = daemon.start_http()
+    try:
+        snapshot = HttpClient(port).requests_snapshot()
+    finally:
+        daemon.stop_http()
+    assert snapshot["total"] == 300
+    assert [r["trace"] for r in snapshot["requests"]] == [
+        "t-{}".format(i) for i in range(299, 43, -1)]
+
+
+def test_request_path_never_runs_the_window_rollup(tmp_path,
+                                                   monkeypatch):
+    metrics.registry().reset()
+    daemon = Daemon(SessionManager(store=None))
+    rollups = []
+    rollup = daemon.requests._rollup
+
+    def spy():
+        rollups.append(1)
+        return rollup()
+
+    monkeypatch.setattr(daemon.requests, "_rollup", spy)
+    for i in range(50):
+        assert daemon.handle_request(protocol.Request.from_obj(
+            {"op": "alias", "source": SMOKE_SOURCE, "name": "smoke",
+             "id": "r{}".format(i)}))["ok"]
+    assert rollups == []
+    stats = daemon.handle_request(protocol.Request.from_obj(
+        {"op": "stats"}))
+    assert stats["result"]["slo_burn"]["1h"]["requests"] == 50
+    assert len(rollups) == 1
+    assert "repro_serve_request_ms_p99" in daemon.metrics_text()
+    assert len(rollups) == 2
+
+
 def test_metrics_endpoint_is_lint_clean_prometheus(daemon):
     _, port, _ = daemon
     client = HttpClient(port)
@@ -327,18 +368,6 @@ def test_traces_endpoint_serves_summaries_and_records(tmp_path):
         assert failure.value.code == 404
     finally:
         daemon.stop_http()
-
-
-def test_journal_size_is_constructor_tunable(tmp_path):
-    metrics.registry().reset()
-    daemon = Daemon(SessionManager(store=FactStore(tmp_path / "facts")),
-                    journal_size=4)
-    for i in range(6):
-        assert daemon.handle_request(protocol.Request.from_obj(
-            {"id": "r{}".format(i), "op": "ping"}))["ok"]
-    snapshot = daemon.journal.snapshot()
-    assert snapshot["total"] == 6
-    assert len(snapshot["requests"]) == 4
 
 
 def test_stats_op_reports_burn_windows_and_store(tmp_path):
